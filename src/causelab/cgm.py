@@ -26,7 +26,7 @@ from .scm import (
     Intervention,
     Scm,
     Table,
-    _eval_scalar_with_noise,
+    _eval_scalar,
     induced_graph,
 )
 
@@ -181,36 +181,32 @@ def _broadcast_cpt(m: DiscreteCgm, name: str, delta_value=None) -> np.ndarray:
     return arr.reshape(shape)
 
 
-def joint(m: DiscreteCgm, limit: int = DEFAULT_STATE_LIMIT) -> Factor:
-    """Exact product of the per-variable conditionals, over all variables."""
+def _product(m: DiscreteCgm, assignments: Mapping, limit: int) -> Factor:
+    """Product over all variables of their conditionals, with a point mass
+    in place of the conditional of every assigned variable."""
     _check_limit(m, limit)
     nodes = m.dag.nodes
     out = np.ones(tuple(len(m.domains[v]) for v in nodes))
     for name in nodes:
-        out = out * _broadcast_cpt(m, name)
+        out = out * _broadcast_cpt(m, name, delta_value=assignments.get(name))
     return Factor(
         scope=nodes, domains=tuple(m.domains[v] for v in nodes), values=out
     )
+
+
+def joint(m: DiscreteCgm, limit: int = DEFAULT_STATE_LIMIT) -> Factor:
+    """Exact product of the per-variable conditionals, over all variables."""
+    return _product(m, {}, limit)
 
 
 def truncated_factorization(
     m: DiscreteCgm, i: Intervention | Mapping, limit: int = DEFAULT_STATE_LIMIT
 ) -> Factor:
     """Interventional joint: deltas at targets times untouched conditionals."""
-    _check_limit(m, limit)
     assignments = i.assignments if isinstance(i, Intervention) else dict(i)
     for name in assignments:
         m.domain(name)  # raises for unknown variables
-    nodes = m.dag.nodes
-    out = np.ones(tuple(len(m.domains[v]) for v in nodes))
-    for name in nodes:
-        if name in assignments:
-            out = out * _broadcast_cpt(m, name, delta_value=assignments[name])
-        else:
-            out = out * _broadcast_cpt(m, name)
-    return Factor(
-        scope=nodes, domains=tuple(m.domains[v] for v in nodes), values=out
-    )
+    return _product(m, assignments, limit)
 
 
 def condition(
@@ -442,7 +438,7 @@ def cgm_from_scm(m: Scm) -> DiscreteCgm:
         for config in itertools.product(*parent_doms):
             pa = dict(zip(mech.parents, config))
             for u, _ in pairs:
-                values.add(_eval_scalar_with_noise(mech.expr, pa, u))
+                values.add(_eval_scalar(mech.expr, pa, u))
         support[name] = tuple(sorted(values))
     cpts = {}
     for name in m.variables:
@@ -463,7 +459,7 @@ def cgm_from_scm(m: Scm) -> DiscreteCgm:
                 p: parent_doms[k][i] for k, (p, i) in enumerate(zip(parent_names, config_idx))
             }
             for u, prob in pairs:
-                out = _eval_scalar_with_noise(mech.expr, pa, u)
+                out = _eval_scalar(mech.expr, pa, u)
                 arr[config_idx + (out_index[out],)] += prob
         cpts[name] = Cpt(child=name, parents=parent_names, values=arr)
     return DiscreteCgm(dag=g, domains=support, cpts=cpts)

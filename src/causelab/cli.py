@@ -3,9 +3,9 @@
 Every subcommand reads files, runs one library operation, and emits one
 JSON document on stdout (optionally also written with --out). Exit
 codes: 0 success, 2 usage or parse error, 3 method precondition failure
-(weak instrument, overlap violation, separation, non-abducible model).
-Seeded subcommands are bit-reproducible: identical invocations produce
-byte-identical outputs.
+(weak instrument, overlap violation, separation, non-abducible model,
+a non-finite result). Seeded subcommands are bit-reproducible: identical
+invocations produce byte-identical outputs.
 """
 
 from __future__ import annotations
@@ -14,12 +14,11 @@ import argparse
 import json
 import os
 import sys
-import tempfile
 
 import numpy as np
 
 from . import discovery, estimation, kernels
-from .data import Dataset
+from .data import Dataset, write_atomic
 from .errors import PreconditionError, UsageError
 from .graph import (
     cpdag_to_json,
@@ -47,23 +46,13 @@ def _read_text(path: str) -> str:
         raise UsageError(f"cannot read {path!r}: {exc}") from exc
 
 
-def _write_atomic(path: str, text: str) -> None:
-    directory = os.path.dirname(path) or "."
-    fd, tmp = tempfile.mkstemp(dir=directory, suffix=".tmp")
-    try:
-        with os.fdopen(fd, "w", encoding="utf-8") as fh:
-            fh.write(text)
-        os.replace(tmp, path)
-    except BaseException:
-        if os.path.exists(tmp):
-            os.unlink(tmp)
-        raise
-
-
 def _emit(payload: dict, out: str | None) -> None:
-    text = json.dumps(payload, sort_keys=True, indent=2) + "\n"
+    try:
+        text = json.dumps(payload, sort_keys=True, indent=2, allow_nan=False) + "\n"
+    except ValueError as exc:
+        raise PreconditionError(f"non-finite result: {exc}") from None
     if out:
-        _write_atomic(out, text)
+        write_atomic(out, text)
     sys.stdout.write(text)
 
 
@@ -172,7 +161,7 @@ def cmd_generate(args) -> dict:
     data, truth = scenario.generate(args.n, args.seed)
     data.to_csv(args.out)
     truth_path = _truth_path(args.out)
-    _write_atomic(truth_path, json.dumps(truth, sort_keys=True, indent=2) + "\n")
+    write_atomic(truth_path, json.dumps(truth, sort_keys=True, indent=2) + "\n")
     return {
         "scenario": args.scenario,
         "rows": data.n,
@@ -544,16 +533,15 @@ _FILE_PRODUCING = {"simulate", "generate", "intervene"}  # --out is a CSV there
 def main(argv=None) -> int:
     parser = build_parser()
     args = parser.parse_args(argv)
+    json_out = None if args.command in _FILE_PRODUCING else getattr(args, "out", None)
     try:
-        payload = args.handler(args)
+        _emit(args.handler(args), json_out)
     except UsageError as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 2
     except PreconditionError as exc:
         print(f"precondition failed: {exc}", file=sys.stderr)
         return 3
-    json_out = None if args.command in _FILE_PRODUCING else getattr(args, "out", None)
-    _emit(payload, json_out)
     return 0
 
 

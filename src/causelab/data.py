@@ -2,7 +2,7 @@
 
 Columns are float64 arrays tagged with a kind: "real", "binary"
 (values in {0,1}) or "categorical" (small set of integral codes).
-Missing values are not supported.
+Missing and infinite values are not supported.
 """
 
 from __future__ import annotations
@@ -19,6 +19,20 @@ import numpy as np
 from .errors import UsageError
 
 _CATEGORICAL_MAX_LEVELS = 20
+
+
+def write_atomic(path: str | os.PathLike, text: str) -> None:
+    """Write UTF-8 text through a temporary file renamed over path."""
+    directory = os.path.dirname(os.fspath(path)) or "."
+    fd, tmp = tempfile.mkstemp(dir=directory, suffix=".tmp")
+    try:
+        with os.fdopen(fd, "w", encoding="utf-8", newline="") as fh:
+            fh.write(text)
+        os.replace(tmp, path)
+    except BaseException:
+        if os.path.exists(tmp):
+            os.unlink(tmp)
+        raise
 
 
 def infer_kind(values: np.ndarray) -> str:
@@ -42,8 +56,8 @@ class Dataset:
             raise UsageError(f"unequal column lengths: {sorted(lengths)}")
         for name in self.columns:
             arr = self._data[name]
-            if np.isnan(arr).any():
-                raise UsageError(f"column {name!r} contains missing values")
+            if not np.isfinite(arr).all():
+                raise UsageError(f"column {name!r} contains missing or infinite values")
             if self.kinds[name] == "binary" and not np.all(np.isin(arr, (0.0, 1.0))):
                 raise UsageError(f"binary column {name!r} has values outside {{0,1}}")
             arr.setflags(write=False)
@@ -87,17 +101,7 @@ class Dataset:
 
     def to_csv(self, path: str | os.PathLike) -> None:
         """Write atomically: comma-separated, header row, UTF-8, repr floats."""
-        text = self.to_csv_text()
-        directory = os.path.dirname(os.fspath(path)) or "."
-        fd, tmp = tempfile.mkstemp(dir=directory, suffix=".tmp")
-        try:
-            with os.fdopen(fd, "w", encoding="utf-8", newline="") as fh:
-                fh.write(text)
-            os.replace(tmp, path)
-        except BaseException:
-            if os.path.exists(tmp):
-                os.unlink(tmp)
-            raise
+        write_atomic(path, self.to_csv_text())
 
     def to_csv_text(self) -> str:
         buf = io.StringIO()

@@ -264,6 +264,17 @@ def _family_loglik_gaussian(columns, child, parents):
     return ll, len(parents) + 2
 
 
+def _family_loglik(data: Dataset, nodes, model: str):
+    """The per-family log-likelihood of a score model, checked against the data."""
+    if model == "multinomial":
+        if any(data.kinds[v] == "real" for v in nodes):
+            raise UsageError("multinomial score requires discrete columns")
+        return _family_loglik_multinomial
+    if model == "linear-gaussian":
+        return _family_loglik_gaussian
+    raise UsageError(f"unknown score model {model!r}")
+
+
 def bic_score(data: Dataset, g: Dag, model: str = "multinomial") -> float:
     """Penalized maximum likelihood: log p(D | G, MLE) - (k/2) log m."""
     if data.n == 0:
@@ -271,14 +282,7 @@ def bic_score(data: Dataset, g: Dag, model: str = "multinomial") -> float:
     if set(g.nodes) - set(data.columns):
         raise UsageError("graph references columns missing from the data")
     columns = {v: data.column(v).astype(float) for v in g.nodes}
-    if model == "multinomial":
-        if any(data.kinds[v] == "real" for v in g.nodes):
-            raise UsageError("multinomial score requires discrete columns")
-        family = _family_loglik_multinomial
-    elif model == "linear-gaussian":
-        family = _family_loglik_gaussian
-    else:
-        raise UsageError(f"unknown score model {model!r}")
+    family = _family_loglik(data, g.nodes, model)
     ll = 0.0
     k = 0
     for v in g.nodes:
@@ -329,12 +333,7 @@ def score_search(data: Dataset, cfg: DiscoveryConfig) -> ScoreSearchResult:
 
 def _greedy_search(data: Dataset, nodes, model) -> ScoreSearchResult:
     columns = {v: data.column(v).astype(float) for v in nodes}
-    if model == "multinomial":
-        if any(data.kinds[v] == "real" for v in nodes):
-            raise UsageError("multinomial score requires discrete columns")
-        family = _family_loglik_multinomial
-    else:
-        family = _family_loglik_gaussian
+    family = _family_loglik(data, nodes, model)
     logm = math.log(data.n)
     cache: dict[tuple[str, tuple[str, ...]], float] = {}
 

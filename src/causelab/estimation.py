@@ -14,7 +14,6 @@ from dataclasses import dataclass, field
 from typing import Mapping, Sequence
 
 import numpy as np
-from scipy.spatial.distance import cdist
 
 from .data import Dataset
 from .errors import (
@@ -24,7 +23,7 @@ from .errors import (
     UsageError,
     WeakInstrumentError,
 )
-from .kernels import DEFAULT_RIDGE_SCALE, kernel_ridge_fit
+from .kernels import DEFAULT_RIDGE_SCALE, _sq_distances, kernel_ridge_fit
 
 DEFAULT_CLIP = 0.01
 WEAK_INSTRUMENT_TSTAT = 3.0
@@ -164,11 +163,11 @@ def ate_nn_matching(data: Dataset, y: str, t: str, z: Sequence[str]) -> EffectEs
 
     def nearest(from_idx, to_idx):
         out = np.empty(len(from_idx), dtype=int)
-        block = max(1, int(2e7 // max(1, len(to_idx))))
+        block = max(1, int(1e7 // max(1, len(to_idx))))
         target = zstd[to_idx]
         for start in range(0, len(from_idx), block):
             chunk = from_idx[start : start + block]
-            d = cdist(zstd[chunk], target)
+            d = np.sqrt(_sq_distances(zstd[chunk], target))
             out[start : start + block] = to_idx[np.argmin(d, axis=1)]
         return out
 

@@ -13,6 +13,7 @@ pure function, so concurrent reads are safe.
 
 from __future__ import annotations
 
+import heapq
 import itertools
 import json
 import logging
@@ -25,6 +26,8 @@ logger = logging.getLogger(__name__)
 
 DEFAULT_INDEPENDENCE_LIMIT = 8
 DEFAULT_ADJUSTMENT_LIMIT = 12
+# the largest n whose count stays under Python's 4300-digit int-to-str limit
+MAX_COUNT_DAGS_N = 164
 
 
 def _bits(mask: int) -> Iterator[int]:
@@ -43,6 +46,7 @@ class Dag:
     _parent_masks: tuple[int, ...] = field(repr=False, compare=False)
     _child_masks: tuple[int, ...] = field(repr=False, compare=False)
     _descendant_masks: tuple[int, ...] = field(repr=False, compare=False)
+    _order: tuple[int, ...] = field(repr=False, compare=False)
 
     def __init__(self, nodes: Sequence[str], edges: Iterable[tuple] = ()):
         nodes = tuple(nodes)
@@ -72,9 +76,10 @@ class Dag:
             cmask[i] |= 1 << j
         object.__setattr__(self, "_parent_masks", tuple(pmask))
         object.__setattr__(self, "_child_masks", tuple(cmask))
-        order = _topological_or_none(n, pmask)
+        order = _kahn_order(pmask, cmask)
         if order is None:
             raise UsageError("graph contains a directed cycle")
+        object.__setattr__(self, "_order", order)
         desc = [1 << i for i in range(n)]
         for i in reversed(order):
             for j in _bits(cmask[i]):
@@ -145,34 +150,26 @@ class Cpdag:
         Dag(self.nodes, self.directed)  # directed part must be acyclic
 
 
-def _topological_or_none(n: int, parent_masks: Sequence[int]) -> list[int] | None:
-    placed = 0
+def _kahn_order(
+    parent_masks: Sequence[int], child_masks: Sequence[int]
+) -> tuple[int, ...] | None:
+    """Kahn's sort taking the smallest ready index first; None on a cycle."""
+    indegree = [m.bit_count() for m in parent_masks]
+    ready = [i for i, d in enumerate(indegree) if d == 0]  # sorted, so a heap
     order = []
-    remaining = set(range(n))
-    while remaining:
-        ready = sorted(i for i in remaining if parent_masks[i] & ~placed == 0)
-        if not ready:
-            return None
-        for i in ready:
-            order.append(i)
-            placed |= 1 << i
-            remaining.discard(i)
-    return order
+    while ready:
+        i = heapq.heappop(ready)
+        order.append(i)
+        for j in _bits(child_masks[i]):
+            indegree[j] -= 1
+            if indegree[j] == 0:
+                heapq.heappush(ready, j)
+    return tuple(order) if len(order) == len(parent_masks) else None
 
 
 def topological_order(g: Dag) -> tuple[int, ...]:
     """Parents before children; ties broken by ascending node index."""
-    placed = 0
-    order = []
-    remaining = list(range(g.n))
-    while remaining:
-        for i in remaining:
-            if g._parent_masks[i] & ~placed == 0:
-                order.append(i)
-                placed |= 1 << i
-                remaining.remove(i)
-                break
-    return tuple(order)
+    return g._order
 
 
 def _ancestors_of_mask(g: Dag, mask: int) -> int:
@@ -511,8 +508,8 @@ def enumerate_adjustment_sets(
 
 def count_dags(n: int) -> int:
     """Number of labeled DAGs on n nodes (alternating sum over root sets)."""
-    if n < 1:
-        raise UsageError("n must be >= 1")
+    if not 1 <= n <= MAX_COUNT_DAGS_N:
+        raise UsageError(f"n must lie in [1, {MAX_COUNT_DAGS_N}]")
     a = [1]  # a[0] = 1
     binom = [[1]]
     for m in range(1, n + 1):
@@ -543,9 +540,11 @@ def enumerate_dags(nodes: Sequence[str]) -> Iterator[Dag]:
             elif s == 2:
                 edges.append((j, i))
         pmask = [0] * n
+        cmask = [0] * n
         for i, j in edges:
             pmask[j] |= 1 << i
-        if _topological_or_none(n, pmask) is None:
+            cmask[i] |= 1 << j
+        if _kahn_order(pmask, cmask) is None:
             continue
         yield Dag(nodes, edges)
 

@@ -16,7 +16,6 @@ from concurrent.futures import ThreadPoolExecutor
 from dataclasses import dataclass
 
 import numpy as np
-from scipy.spatial.distance import cdist
 
 from .data import Dataset
 from .errors import PreconditionError, UsageError
@@ -27,11 +26,33 @@ GRAM_SIZE_CAP = 5000  # dense O(m^2) Grams only; documented practical cap
 
 
 def max_threads() -> int:
-    """Worker cap for permutation sweeps, from CAUSELAB_THREADS (default 1)."""
+    """Worker cap for permutation sweeps: CAUSELAB_THREADS (default 1),
+    clamped to [1, cpu count]."""
     try:
-        return max(1, int(os.environ.get("CAUSELAB_THREADS", "1")))
+        wanted = int(os.environ.get("CAUSELAB_THREADS", "1"))
     except ValueError:
         return 1
+    return max(1, min(wanted, os.cpu_count() or 1))
+
+
+def _sq_distances(xs: np.ndarray, ys: np.ndarray) -> np.ndarray:
+    """Pairwise squared Euclidean distances between the rows of xs and ys.
+
+    Columns are added one at a time in index order, the same summation
+    order as a per-pair loop, so the result does not depend on blocking.
+    """
+    xs = np.atleast_2d(np.asarray(xs, dtype=float))
+    ys = np.atleast_2d(np.asarray(ys, dtype=float))
+    if xs.shape[1] != ys.shape[1]:
+        raise UsageError("points must share dimensionality")
+    if xs.shape[1] == 0:
+        return np.zeros((len(xs), len(ys)))
+    out = np.square(xs[:, 0, None] - ys[None, :, 0])
+    for k in range(1, xs.shape[1]):
+        diff = xs[:, k, None] - ys[None, :, k]
+        diff *= diff
+        out += diff
+    return out
 
 
 # ---------------------------------------------------------------------------
@@ -53,8 +74,7 @@ class GaussianKernel(Kernel):
             raise UsageError("bandwidth must be > 0")
 
     def __call__(self, xs: np.ndarray, ys: np.ndarray) -> np.ndarray:
-        sq = cdist(np.atleast_2d(xs), np.atleast_2d(ys), "sqeuclidean")
-        return np.exp(-sq / (2.0 * self.bandwidth**2))
+        return np.exp(-_sq_distances(xs, ys) / (2.0 * self.bandwidth**2))
 
 
 @dataclass(frozen=True)
@@ -107,7 +127,7 @@ def median_heuristic(xs, ys=None) -> float:
     """
     xs = _as_matrix(xs)
     pool = xs if ys is None else np.vstack([xs, _as_matrix(ys)])
-    d = cdist(pool, pool)
+    d = np.sqrt(_sq_distances(pool, pool))
     upper = d[np.triu_indices(len(pool), k=1)]
     positive = upper[upper > 0]
     if positive.size == 0:

@@ -492,9 +492,11 @@ class _NoiseIgnored:
 _IGNORED = _NoiseIgnored()
 
 
-def _eval_scalar(expr: Expr, pa: Mapping[str, float]) -> float:
+def _eval_scalar(expr: Expr, pa: Mapping[str, float], u: float | None = None) -> float:
+    """The mechanism's value at one parent configuration and noise value u."""
     arrays = {k: np.asarray([v], dtype=float) for k, v in pa.items()}
-    return float(np.broadcast_to(np.asarray(_eval(expr, arrays, None)), (1,))[0])
+    noise = None if u is None else np.asarray([float(u)])
+    return float(np.broadcast_to(np.asarray(_eval(expr, arrays, noise)), (1,))[0])
 
 
 def _affine_in_noise(expr: Expr, pa: Mapping[str, float]) -> tuple[float, float] | None:
@@ -530,10 +532,7 @@ def _affine_in_noise(expr: Expr, pa: Mapping[str, float]) -> tuple[float, float]
             return None
     if isinstance(expr, (Unary, IndicatorGe, Table)):
         if not _expr_refs(expr)[1]:
-            dummy = np.asarray([0.0])
-            arrays = {k: np.asarray([v], dtype=float) for k, v in pa.items()}
-            val = float(np.broadcast_to(np.asarray(_eval(expr, arrays, dummy)), (1,))[0])
-            return val, 0.0
+            return _eval_scalar(expr, pa), 0.0
         return None
     return None
 
@@ -594,7 +593,7 @@ def _abduct_variable(
 ) -> list[tuple[float, float]]:
     """Posterior over one noise as (value, weight) pairs summing to 1."""
     if isinstance(spec, DiracNoise):
-        got = _eval_scalar_with_noise(mech.expr, pa, spec.point)
+        got = _eval_scalar(mech.expr, pa, spec.point)
         if abs(got - observed) > _ABDUCTION_TOL * max(1.0, abs(observed)):
             raise InconsistentEvidenceError(
                 f"evidence {observed} impossible under point-mass noise (implies {got})"
@@ -605,7 +604,7 @@ def _abduct_variable(
             (float(u), p)
             for u, p in zip(spec.values, spec.probs)
             if p > 0
-            and abs(_eval_scalar_with_noise(mech.expr, pa, u) - observed)
+            and abs(_eval_scalar(mech.expr, pa, u) - observed)
             <= _ABDUCTION_TOL * max(1.0, abs(observed))
         ]
         total = sum(p for _, p in matches)
@@ -627,12 +626,6 @@ def _abduct_variable(
             f"abduced noise {u} outside uniform support [{spec.lo}, {spec.hi}]"
         )
     return [(float(u), 1.0)]
-
-
-def _eval_scalar_with_noise(expr: Expr, pa: Mapping[str, float], u: float) -> float:
-    arrays = {k: np.asarray([v], dtype=float) for k, v in pa.items()}
-    out = _eval(expr, arrays, np.asarray([float(u)]))
-    return float(np.broadcast_to(np.asarray(out), (1,))[0])
 
 
 @dataclass(frozen=True)

@@ -174,3 +174,31 @@ def counterfactual_by_enumeration(m, evidence, intervention, target):
     if total == 0.0:
         raise ValueError("evidence has zero probability")
     return {v: w / total for v, w in sorted(posterior.items())}
+
+
+def topological_order_by_rescan(g: Dag) -> tuple[int, ...]:
+    """Repeatedly place the smallest-index node whose parents are all placed."""
+    placed: list[int] = []
+    while len(placed) < g.n:
+        ready = [
+            v
+            for v in range(g.n)
+            if v not in placed and all(u in placed for u, w in g.edges if w == v)
+        ]
+        placed.append(min(ready))
+    return tuple(placed)
+
+
+def sq_distances_by_loop(xs, ys) -> list[list[float]]:
+    """Squared Euclidean distance of every row pair, one float at a time."""
+    out = []
+    for x in xs:
+        row = []
+        for y in ys:
+            total = 0.0
+            for a, b in zip(x, y):
+                d = float(a) - float(b)
+                total += d * d
+            row.append(total)
+        out.append(row)
+    return out

@@ -85,6 +85,15 @@ class TestCountDags:
         assert code == 0 and payload["count"] == 4175098976430598143
         check_schema(payload, "count_dags")
 
+    def test_largest_n_prints(self, capsys):
+        code, payload = run(capsys, "count-dags", "--n", "164")
+        assert code == 0 and len(str(payload["count"])) == 4290
+        check_schema(payload, "count_dags")
+
+    def test_n_beyond_limit_exit2(self, capsys):
+        code, payload = run(capsys, "count-dags", "--n", "200")
+        assert code == 2 and payload is None
+
 
 class TestSimulateInterveneCounterfactual:
     def test_simulate_reproducible(self, capsys, scm_file, tmp_path):
@@ -293,6 +302,25 @@ class TestEstimateCli:
         code, _ = run(capsys, "estimate", "--data", str(path), "--method", "2sls",
                       "--y", "Y", "--t", "T", "--instrument", "I")
         assert code == 3
+
+
+class TestNonFinite:
+    def test_infinite_cell_exit2(self, capsys, tmp_path):
+        path = tmp_path / "inf.csv"
+        path.write_text("Y,T\n1.0,1\ninf,0\n2.0,1\n0.5,0\n")
+        code, payload = run(capsys, "estimate", "--data", str(path), "--method", "rct",
+                            "--y", "Y", "--t", "T")
+        assert code == 2 and payload is None
+
+    def test_overflowing_result_exit3(self, capsys, tmp_path):
+        path = tmp_path / "huge.csv"
+        path.write_text("Y,T\n1e308,1\n1e308,1\n0.0,0\n1.0,0\n")
+        out = tmp_path / "res.json"
+        code = main(["estimate", "--data", str(path), "--method", "rct",
+                     "--y", "Y", "--t", "T", "--out", str(out)])
+        captured = capsys.readouterr()
+        assert code == 3 and captured.out == "" and not out.exists()
+        assert captured.err.startswith("precondition failed: non-finite result")
 
 
 class TestKernelCli:

@@ -25,6 +25,11 @@ class TestDataset:
         with pytest.raises(UsageError):
             Dataset.from_columns({"A": [1.0, float("nan")]})
 
+    @pytest.mark.parametrize("value", [float("inf"), float("-inf")])
+    def test_infinite_values_rejected(self, value):
+        with pytest.raises(UsageError):
+            Dataset.from_columns({"A": [1.0, value]})
+
     def test_columns_read_only(self):
         data = Dataset.from_columns({"A": [1.0, 2.0]})
         with pytest.raises(ValueError):

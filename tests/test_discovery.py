@@ -251,6 +251,12 @@ class TestScoreSearch:
         with pytest.raises(UsageError):
             score_search(data, DiscoveryConfig(score="linear-gaussian"))
 
+    @pytest.mark.parametrize("search", ["exhaustive", "greedy"])
+    def test_unknown_score_model_rejected(self, search):
+        data = chain_data(200, 18)
+        with pytest.raises(UsageError):
+            score_search(data, DiscoveryConfig(score="poisson", search=search))
+
 
 class TestAnm:
     def test_forward_on_nonlinear_pair(self):

@@ -1,4 +1,8 @@
 import math
+import os
+import subprocess
+import sys
+from pathlib import Path
 
 import numpy as np
 import pytest
@@ -15,6 +19,7 @@ from causelab.kernels import (
     hsic_statistic,
     hsic_test,
     kernel_ridge_fit,
+    max_threads,
     mean_map_apply,
     median_heuristic,
     mmd,
@@ -182,6 +187,44 @@ class TestHsic:
         monkeypatch.setenv("CAUSELAB_THREADS", "4")
         threaded = hsic_test(None, None, x, y, perms=99, seed=7)
         assert threaded == base
+
+
+class TestMaxThreads:
+    def test_clamped_to_cpu_count(self, monkeypatch):
+        monkeypatch.setenv("CAUSELAB_THREADS", "1000000")
+        assert max_threads() == (os.cpu_count() or 1)
+
+    @pytest.mark.parametrize("value", ["0", "-3", "many"])
+    def test_at_least_one(self, monkeypatch, value):
+        monkeypatch.setenv("CAUSELAB_THREADS", value)
+        assert max_threads() == 1
+
+
+def test_gaussian_kernel_without_coordinates_is_one():
+    k = GaussianKernel(0.5)(np.empty((2, 0)), np.empty((3, 0)))
+    assert k.tolist() == [[1.0] * 3] * 2
+
+
+def test_mismatched_dimensions_rejected():
+    with pytest.raises(UsageError):
+        GaussianKernel(1.0)(np.zeros((2, 2)), np.zeros((2, 3)))
+
+
+def test_cli_and_estimation_import_without_scipy():
+    import causelab
+
+    src = str(Path(causelab.__file__).resolve().parents[1])
+    path = os.pathsep.join([src, os.environ.get("PYTHONPATH", "")])
+    env = {**os.environ, "PYTHONPATH": path}
+    code = (
+        "import sys, causelab.cli, causelab.estimation; "
+        "print(sorted(m for m in sys.modules if m.split('.')[0] == 'scipy'))"
+    )
+    out = subprocess.run(
+        [sys.executable, "-c", code],
+        env=env, capture_output=True, text=True, check=True,
+    )
+    assert out.stdout.strip() == "[]"
 
 
 def chain_dataset(n, seed):

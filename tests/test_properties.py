@@ -15,11 +15,18 @@ from causelab.graph import (
     markov_equivalent,
     topological_order,
 )
-from causelab.kernels import GaussianKernel, LinearKernel, PolynomialKernel, gram, vc_bound
+from causelab.kernels import (
+    GaussianKernel,
+    LinearKernel,
+    PolynomialKernel,
+    _sq_distances,
+    gram,
+    vc_bound,
+)
 from causelab.scm import sample
 
 from conftest import random_dag
-from oracles import dsep_by_paths
+from oracles import dsep_by_paths, sq_distances_by_loop, topological_order_by_rescan
 from test_scm import linear_gaussian_pair
 
 
@@ -39,6 +46,31 @@ def test_topological_order_is_consistent(g):
     assert sorted(order) == list(range(g.n))
     position = {v: k for k, v in enumerate(order)}
     assert all(position[u] < position[v] for u, v in g.edges)
+
+
+@settings(max_examples=50, deadline=None)
+@given(dags(max_nodes=7))
+def test_topological_order_is_smallest_ready_index_first(g):
+    assert topological_order(g) == topological_order_by_rescan(g)
+
+
+@st.composite
+def point_sets(draw):
+    d = draw(st.integers(1, 4))
+    coords = st.floats(-1e6, 1e6, allow_nan=False, allow_infinity=False)
+    point = st.lists(coords, min_size=d, max_size=d)
+    xs = draw(st.lists(point, min_size=1, max_size=6))
+    ys = draw(st.lists(point, min_size=1, max_size=6))
+    return np.array(xs), np.array(ys)
+
+
+@settings(max_examples=60, deadline=None)
+@given(point_sets())
+def test_sq_distances_match_per_pair_loop_bitwise(pts):
+    xs, ys = pts
+    fast = _sq_distances(xs, ys)
+    slow = np.array(sq_distances_by_loop(xs, ys))
+    assert fast.tobytes() == slow.tobytes()
 
 
 @settings(max_examples=40, deadline=None)
