@@ -342,16 +342,9 @@ def _check_front_door_shape(g: Dag, t: str, mdtr: str, y: str) -> None:
         raise PreconditionError(
             f"mediator {mdtr!r} must have exactly the treatment as parent"
         )
-    # every directed t->y path passes through the mediator
-    reach = {ti}
-    stack = [ti]
-    while stack:
-        k = stack.pop()
-        for c in g.children(k):
-            if c != mi and c not in reach:
-                reach.add(c)
-                stack.append(c)
-    if yi in reach:
+    # every directed t->y path passes through the mediator: cutting t->M,
+    # the mediator's only in-edge, must leave y out of t's descendants
+    if g.remove_edges([(ti, mi)]).descendants_mask(ti) >> yi & 1:
         raise PreconditionError(
             f"directed path from {t!r} to {y!r} avoids the mediator {mdtr!r}"
         )

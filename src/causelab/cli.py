@@ -21,6 +21,7 @@ from . import discovery, estimation, kernels
 from .data import Dataset, write_atomic
 from .errors import PreconditionError, UsageError
 from .graph import (
+    _colliders,
     cpdag_to_json,
     d_separated,
     dag_from_json,
@@ -193,7 +194,9 @@ def cmd_discover(args) -> dict:
         return {
             "method": args.method,
             "skeleton": sorted(sorted(e) for e in skel.edges),
-            "v_structures": _vstructs(cpdag, skel),
+            "v_structures": sorted(
+                list(v) for v in _colliders(cpdag.nodes, cpdag.directed, skel.edges)
+            ),
             "cpdag": json.loads(cpdag_to_json(cpdag)),
             "separating_sets": {
                 f"{a},{b}": sorted(s) for (a, b), s in sorted(skel.sepsets.items())
@@ -234,21 +237,6 @@ def cmd_discover(args) -> dict:
             "seed": cfg.seed,
         }
     raise UsageError(f"unknown discovery method {args.method!r}")
-
-
-def _vstructs(cpdag, skel) -> list:
-    nodes = cpdag.nodes
-    directed = set(cpdag.directed)
-    adjacent = {tuple(sorted(e)) for e in skel.edges}
-    out = []
-    for c in nodes:
-        heads = sorted(a for (a, b) in directed if b == c)
-        for i in range(len(heads)):
-            for j in range(i + 1, len(heads)):
-                a, b = heads[i], heads[j]
-                if tuple(sorted((a, b))) not in adjacent:
-                    out.append([a, c, b])
-    return sorted(out)
 
 
 def cmd_estimate(args) -> dict:
@@ -316,7 +304,6 @@ def cmd_test_ci(args) -> dict:
         args.a,
         args.b,
         tuple(args.given or ()),
-        alpha=args.alpha,
         perms=args.perms,
         seed=args.seed,
     )

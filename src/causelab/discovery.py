@@ -22,7 +22,7 @@ import numpy as np
 
 from .data import Dataset
 from .errors import PreconditionError, UsageError
-from .graph import Cpdag, Dag, enumerate_dags, meek_closure
+from .graph import Cpdag, Dag, enumerate_dags
 from .kernels import ci_test, hsic_test, kernel_ridge_fit
 from . import graph as graph_mod
 
@@ -84,10 +84,9 @@ def _decision_fn(data: Dataset | None, cfg: DiscoveryConfig, nodes: tuple[str, .
             nodes[i],
             nodes[j],
             tuple(nodes[k] for k in zs),
-            alpha=cfg.alpha,
             perms=cfg.perms,
             seed=cfg.seed,
-            max_cond=max(cfg.max_cond_size, len(zs)),
+            max_cond=cfg.max_cond_size,
         )
         return res.p_value > cfg.alpha
 
@@ -187,10 +186,11 @@ def orient(skeleton: SkeletonResult) -> Cpdag:
     nodes = skeleton.nodes
     n = len(nodes)
     index = {name: k for k, name in enumerate(nodes)}
+    pairs = [(index[u], index[v]) for u, v in skeleton.edges]
     adj = {i: set() for i in range(n)}
-    for u, v in skeleton.edges:
-        adj[index[u]].add(index[v])
-        adj[index[v]].add(index[u])
+    for i, j in pairs:
+        adj[i].add(j)
+        adj[j].add(i)
 
     def sepset(i, j):
         a, b = (nodes[i], nodes[j]) if i < j else (nodes[j], nodes[i])
@@ -211,19 +211,7 @@ def orient(skeleton: SkeletonResult) -> Cpdag:
                     )
                 else:
                     directed.add((tail, c))
-    undirected = {
-        (index[u], index[v])
-        for u, v in skeleton.edges
-        if (index[u], index[v]) not in directed and (index[v], index[u]) not in directed
-    }
-    directed, undirected = meek_closure(n, directed, undirected)
-    return Cpdag(
-        nodes=tuple(nodes),
-        directed=frozenset((nodes[i], nodes[j]) for i, j in directed),
-        undirected=frozenset(
-            tuple(sorted((nodes[i], nodes[j]))) for i, j in undirected
-        ),
-    )
+    return graph_mod._cpdag_from_pattern(nodes, pairs, directed)
 
 
 # ---------------------------------------------------------------------------

@@ -418,17 +418,14 @@ def ate_front_door(data: Dataset, y: str, t: str, mdtr: str) -> EffectEstimate:
     )
 
 
-def _ols_slope(x: np.ndarray, yv: np.ndarray) -> tuple[float, float, float]:
-    """Slope, its standard error, and the intercept for y ~ 1 + x."""
+def _ols(x: np.ndarray, yv: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+    """Coefficients (intercept, slope) of y ~ 1 + x and their covariance."""
     n = len(x)
     design = np.column_stack([np.ones(n), x])
     beta, *_ = np.linalg.lstsq(design, yv, rcond=None)
     resid = yv - design @ beta
-    dof = max(n - 2, 1)
-    sigma2 = float(resid @ resid) / dof
-    xtx_inv = np.linalg.inv(design.T @ design)
-    se = math.sqrt(sigma2 * xtx_inv[1, 1])
-    return float(beta[1]), se, float(beta[0])
+    sigma2 = float(resid @ resid) / max(n - 2, 1)
+    return beta, sigma2 * np.linalg.inv(design.T @ design)
 
 
 def ate_iv_2sls(
@@ -447,23 +444,24 @@ def ate_iv_2sls(
     iv = data.column(instrument).astype(float)
     tv = data.column(t).astype(float)
     yv = data.column(y).astype(float)
-    slope1, se1, intercept1 = _ols_slope(iv, tv)
+    beta1, cov1 = _ols(iv, tv)
+    slope1, se1 = float(beta1[1]), math.sqrt(cov1[1, 1])
     tstat = abs(slope1) / se1 if se1 > 0 else float("inf")
     if tstat < relevance_tstat:
         raise WeakInstrumentError(
             f"first-stage t-statistic {tstat:.2f} below threshold {relevance_tstat}"
         )
-    t_hat = intercept1 + slope1 * iv
-    slope2, se2, _ = _ols_slope(t_hat, yv)
-    naive_slope, _, _ = _ols_slope(tv, yv)
+    t_hat = float(beta1[0]) + slope1 * iv
+    beta2, cov2 = _ols(t_hat, yv)
+    naive, _ = _ols(tv, yv)
     return EffectEstimate(
         estimator="2sls",
-        ate=slope2,
-        stderr=se2,
+        ate=float(beta2[1]),
+        stderr=math.sqrt(cov2[1, 1]),
         diagnostics={
             "first_stage_slope": slope1,
             "first_stage_tstat": tstat,
-            "naive_ols_slope": naive_slope,
+            "naive_ols_slope": float(naive[1]),
             "n": data.n,
         },
     )
@@ -490,15 +488,9 @@ def ate_rdd(
         )
 
     def boundary(sel):
-        x = sv[sel] - cutoff
-        slope, _, intercept = _ols_slope(x, yv[sel])
-        n = len(x)
-        design = np.column_stack([np.ones(n), x])
-        resid = yv[sel] - design @ np.array([intercept, slope])
-        sigma2 = float(resid @ resid) / max(n - 2, 1)
-        xtx_inv = np.linalg.inv(design.T @ design)
-        se_at_cutoff = math.sqrt(sigma2 * xtx_inv[0, 0])
-        return intercept, se_at_cutoff
+        # the intercept is the fit at the cutoff
+        beta, cov = _ols(sv[sel] - cutoff, yv[sel])
+        return float(beta[0]), math.sqrt(cov[0, 0])
 
     val_above, se_above = boundary(above)
     val_below, se_below = boundary(below)

@@ -46,6 +46,7 @@ class Dag:
     _parent_masks: tuple[int, ...] = field(repr=False, compare=False)
     _child_masks: tuple[int, ...] = field(repr=False, compare=False)
     _descendant_masks: tuple[int, ...] = field(repr=False, compare=False)
+    _ancestor_masks: tuple[int, ...] = field(repr=False, compare=False)
     _order: tuple[int, ...] = field(repr=False, compare=False)
 
     def __init__(self, nodes: Sequence[str], edges: Iterable[tuple] = ()):
@@ -84,7 +85,12 @@ class Dag:
         for i in reversed(order):
             for j in _bits(cmask[i]):
                 desc[i] |= desc[j]
+        anc = [1 << i for i in range(n)]
+        for j in order:
+            for i in _bits(pmask[j]):
+                anc[j] |= anc[i]
         object.__setattr__(self, "_descendant_masks", tuple(desc))
+        object.__setattr__(self, "_ancestor_masks", tuple(anc))
 
     @property
     def n(self) -> int:
@@ -172,19 +178,6 @@ def topological_order(g: Dag) -> tuple[int, ...]:
     return g._order
 
 
-def _ancestors_of_mask(g: Dag, mask: int) -> int:
-    anc = mask
-    frontier = mask
-    while frontier:
-        nxt = 0
-        for i in _bits(frontier):
-            nxt |= g._parent_masks[i]
-        nxt &= ~anc
-        anc |= nxt
-        frontier = nxt
-    return anc
-
-
 def _dsep_masks(g: Dag, amask: int, bmask: int, zmask: int) -> bool:
     """Reachability test: True iff no active path joins amask and bmask.
 
@@ -194,7 +187,9 @@ def _dsep_masks(g: Dag, amask: int, bmask: int, zmask: int) -> bool:
     conditioned on, and may bounce back up exactly when the node is an
     ancestor of (or in) the conditioning set.
     """
-    anc_z = _ancestors_of_mask(g, zmask)
+    anc_z = 0
+    for i in _bits(zmask):
+        anc_z |= g._ancestor_masks[i]
     visited_up = 0
     visited_down = 0
     pend_up = amask
@@ -272,6 +267,31 @@ def implied_independences(
     return tuple(out)
 
 
+def _colliders(
+    nodes: Sequence[str],
+    directed: Iterable[tuple[str, str]],
+    skeleton: Iterable[tuple[str, str]],
+) -> frozenset[tuple[str, str, str]]:
+    """Colliders a→c←b among the directed name pairs whose a and b are not
+    adjacent in the skeleton, as (a, c, b) with a < b lexicographically."""
+    index = {name: k for k, name in enumerate(nodes)}
+    parents = [0] * len(nodes)
+    adjacent = [0] * len(nodes)
+    for u, v in directed:
+        parents[index[v]] |= 1 << index[u]
+    for u, v in skeleton:
+        i, j = index[u], index[v]
+        adjacent[i] |= 1 << j
+        adjacent[j] |= 1 << i
+    out = set()
+    for c, pmask in enumerate(parents):
+        for ai, bi in itertools.combinations(_bits(pmask), 2):
+            if not adjacent[ai] >> bi & 1:
+                a, b = sorted((nodes[ai], nodes[bi]))
+                out.add((a, nodes[c], b))
+    return frozenset(out)
+
+
 def skeleton_and_vstructures(
     g: Dag,
 ) -> tuple[frozenset[tuple[str, str]], frozenset[tuple[str, str, str]]]:
@@ -279,14 +299,9 @@ def skeleton_and_vstructures(
 
     V-structures are reported as (a, c, b) with a < b lexicographically.
     """
-    skel = frozenset(tuple(sorted((g.nodes[i], g.nodes[j]))) for i, j in g.edges)
-    vs = set()
-    for c in range(g.n):
-        for ai, bi in itertools.combinations(sorted(_bits(g._parent_masks[c])), 2):
-            if not g.adjacent(ai, bi):
-                a, b = sorted((g.nodes[ai], g.nodes[bi]))
-                vs.add((a, g.nodes[c], b))
-    return skel, frozenset(vs)
+    named = [(g.nodes[i], g.nodes[j]) for i, j in g.edges]
+    skel = frozenset(tuple(sorted(e)) for e in named)
+    return skel, _colliders(g.nodes, named, named)
 
 
 def markov_equivalent(g1: Dag, g2: Dag) -> bool:
@@ -307,116 +322,101 @@ def meek_closure(
 ) -> tuple[set[tuple[int, int]], set[tuple[int, int]]]:
     """Close a partially directed graph under the four orientation rules.
 
-    Operates on index pairs; undirected pairs are stored as (min, max).
+    Operates on index pairs; undirected pairs are returned as (min, max).
     An orientation that would close a directed cycle is skipped with a
-    warning (possible only for inconsistent finite-sample inputs).
+    warning (possible only for inconsistent finite-sample inputs). Each
+    pass applies R1 to R4 in turn, visiting edges in ascending pair order
+    as of the start of each rule.
     """
-    directed = set(directed)
-    undirected = {tuple(sorted(e)) for e in undirected}
-
-    def adjacent(i, j):
-        return (
-            (i, j) in directed
-            or (j, i) in directed
-            or tuple(sorted((i, j))) in undirected
-        )
-
-    def creates_cycle(i, j):
-        # would j -> ... -> i exist in the directed part?
-        stack, seen = [j], set()
-        while stack:
-            k = stack.pop()
-            if k == i:
-                return True
-            if k in seen:
-                continue
-            seen.add(k)
-            stack.extend(c for (p, c) in directed if p == k)
-        return False
+    out = [0] * n  # out[i] bit j: i -> j
+    into = [0] * n  # into[j] bit i: i -> j
+    und = [0] * n  # und[i] bit j: i - j
+    for i, j in directed:
+        out[i] |= 1 << j
+        into[j] |= 1 << i
+    for i, j in undirected:
+        und[i] |= 1 << j
+        und[j] |= 1 << i
+    # orienting keeps every pair adjacent, so adjacency is fixed
+    adj = [out[i] | into[i] | und[i] for i in range(n)]
 
     def orient(i, j):
-        pair = tuple(sorted((i, j)))
-        if pair not in undirected:
-            return False
-        if creates_cycle(i, j):
+        reach, frontier = 0, 1 << j
+        while frontier:  # everything j reaches along directed edges
+            reach |= frontier
+            nxt = 0
+            for k in _bits(frontier):
+                nxt |= out[k]
+            frontier = nxt & ~reach
+        if reach >> i & 1:
             logger.warning(
                 "skipping orientation %s->%s: would close a directed cycle", i, j
             )
             return False
-        undirected.discard(pair)
-        directed.add((i, j))
+        und[i] &= ~(1 << j)
+        und[j] &= ~(1 << i)
+        out[i] |= 1 << j
+        into[j] |= 1 << i
         return True
+
+    def undirected_pairs():  # ascending (i, j) with i < j
+        return [(i, j) for i in range(n) for j in _bits(und[i] >> (i + 1) << (i + 1))]
 
     changed = True
     while changed:
         changed = False
         # R1: a -> b, b - c, a and c non-adjacent  =>  b -> c
-        for a, b in sorted(directed):
-            for pair in sorted(undirected):
-                if b in pair:
-                    c = pair[0] if pair[1] == b else pair[1]
-                    if c != a and not adjacent(a, c):
-                        changed |= orient(b, c)
+        for a, b in [(a, b) for a in range(n) for b in _bits(out[a])]:
+            for c in _bits(und[b] & ~adj[a] & ~(1 << a)):
+                changed |= orient(b, c)
         # R2: a -> c -> b, a - b  =>  a -> b
-        for pair in sorted(undirected):
+        for pair in undirected_pairs():
             for a, b in (pair, pair[::-1]):
-                if any((a, c) in directed and (c, b) in directed for c in range(n)):
+                if out[a] & into[b]:
                     changed |= orient(a, b)
                     break
         # R3: a - b; a - c, a - d; c -> b, d -> b; c, d non-adjacent  =>  a -> b
-        for pair in sorted(undirected):
+        for pair in undirected_pairs():
             for a, b in (pair, pair[::-1]):
-                cands = [
-                    c
-                    for c in range(n)
-                    if tuple(sorted((a, c))) in undirected and (c, b) in directed
-                ]
-                if any(
-                    not adjacent(c, d)
-                    for c, d in itertools.combinations(sorted(cands), 2)
-                ):
+                cands = und[a] & into[b]
+                if any(cands & ~adj[c] & ~(1 << c) for c in _bits(cands)):
                     changed |= orient(a, b)
                     break
         # R4: a - b; a - d; d -> c, c -> b; b, d non-adjacent; a, c adjacent  =>  a -> b
-        for pair in sorted(undirected):
+        # (a skipped orientation lets the reverse direction be tried)
+        for pair in undirected_pairs():
             for a, b in (pair, pair[::-1]):
-                hit = False
-                for d, c in sorted(directed):
-                    if (
-                        (c, b) in directed
-                        and tuple(sorted((a, d))) in undirected
-                        and not adjacent(b, d)
-                        and adjacent(a, c)
-                    ):
-                        hit = orient(a, b)
+                if any(out[d] & into[b] & adj[a] for d in _bits(und[a] & ~adj[b])):
+                    if orient(a, b):
+                        changed = True
                         break
-                if hit:
-                    changed = True
-                    break
-    return directed, undirected
+    directed = {(i, j) for i in range(n) for j in _bits(out[i])}
+    return directed, set(undirected_pairs())
+
+
+def _cpdag_from_pattern(
+    nodes: Sequence[str],
+    skeleton: Iterable[tuple[int, int]],
+    directed: set[tuple[int, int]],
+) -> Cpdag:
+    """The CPDAG of a pattern: skeleton index pairs not in directed start
+    undirected, and the Meek rules close the result."""
+    undirected = {
+        (i, j) for i, j in skeleton if (i, j) not in directed and (j, i) not in directed
+    }
+    directed, undirected = meek_closure(len(nodes), directed, undirected)
+    return Cpdag(
+        nodes=tuple(nodes),
+        directed=frozenset((nodes[i], nodes[j]) for i, j in directed),
+        undirected=frozenset((nodes[i], nodes[j]) for i, j in undirected),
+    )
 
 
 def cpdag_of(g: Dag) -> Cpdag:
     """Essential graph of g: v-structure orientations closed under Meek rules."""
-    skel, vs = skeleton_and_vstructures(g)
-    directed = set()
-    for a, c, b in vs:
-        directed.add((g.index(a), g.index(c)))
-        directed.add((g.index(b), g.index(c)))
-    undirected = {
-        (g.index(u), g.index(v))
-        for u, v in skel
-        if (g.index(u), g.index(v)) not in directed
-        and (g.index(v), g.index(u)) not in directed
-    }
-    directed, undirected = meek_closure(g.n, directed, undirected)
-    return Cpdag(
-        nodes=g.nodes,
-        directed=frozenset((g.nodes[i], g.nodes[j]) for i, j in directed),
-        undirected=frozenset(
-            tuple(sorted((g.nodes[i], g.nodes[j]))) for i, j in undirected
-        ),
-    )
+    _, vs = skeleton_and_vstructures(g)
+    directed = {(g.index(tail), g.index(c)) for a, c, b in vs for tail in (a, b)}
+    return _cpdag_from_pattern(g.nodes, g.edges, directed)
 
 
 # ---------------------------------------------------------------------------
@@ -425,16 +425,12 @@ def cpdag_of(g: Dag) -> Cpdag:
 
 def _adjustment_context(g: Dag, t: int, y: int) -> tuple[int, Dag]:
     """Forbidden-node mask and the graph with t's causal first edges cut."""
-    tmask = 1 << t
-    de_t = g.descendants_mask(t)
-    cn = 0
-    for v in _bits(de_t & ~tmask):
-        if g.descendants_mask(v) & (1 << y):
-            cn |= 1 << v
+    # nodes other than t on a directed t->y path
+    cn = g._descendant_masks[t] & g._ancestor_masks[y] & ~(1 << t)
     forbidden = 0
     for v in _bits(cn):
-        forbidden |= g.descendants_mask(v)
-    cut = [(t, c) for c in g.children(t) if cn & (1 << c)]
+        forbidden |= g._descendant_masks[v]
+    cut = [(t, c) for c in _bits(g._child_masks[t] & cn)]
     return forbidden, g.remove_edges(cut)
 
 

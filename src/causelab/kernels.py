@@ -127,12 +127,19 @@ def median_heuristic(xs, ys=None) -> float:
     """
     xs = _as_matrix(xs)
     pool = xs if ys is None else np.vstack([xs, _as_matrix(ys)])
-    d = np.sqrt(_sq_distances(pool, pool))
-    upper = d[np.triu_indices(len(pool), k=1)]
+    m = len(pool)
+    # the strict upper triangle in row-major order, one row at a time, so
+    # no m x m matrix is ever held
+    upper = np.empty(m * (m - 1) // 2)
+    pos = 0
+    for i in range(m - 1):
+        later = np.sqrt(_sq_distances(pool[i : i + 1], pool[i + 1 :])[0])
+        upper[pos : pos + len(later)] = later
+        pos += len(later)
     positive = upper[upper > 0]
     if positive.size == 0:
         return 1.0
-    return float(np.median(positive))
+    return float(np.median(positive, overwrite_input=True))
 
 
 def mean_map_apply(k: Kernel, xs, anchors, coeffs) -> float:
@@ -342,7 +349,6 @@ def ci_test(
     a: str,
     b: str,
     z: tuple[str, ...] | list[str] = (),
-    alpha: float = 0.05,
     perms: int = DEFAULT_PERMUTATIONS,
     seed: int = 0,
     max_cond: int = MAX_COND_SET,

@@ -462,7 +462,7 @@ def evaluate_with_noise(m: Scm, noise_row: Mapping[str, float]) -> dict[str, flo
 @dataclass(frozen=True)
 class MonteCarloMean:
     value: float
-    stderr: float
+    stderr: float | None  # None for a single draw, which has no spread
     n: int
     seed: int
 
@@ -477,7 +477,7 @@ def interventional_mean(
         raise UsageError(f"unknown variable {target!r}")
     data = sample(intervene(m, i), n, seed)
     col = data.column(target)
-    stderr = float(col.std(ddof=1) / math.sqrt(n)) if n > 1 else float("inf")
+    stderr = float(col.std(ddof=1) / math.sqrt(n)) if n > 1 else None
     return MonteCarloMean(value=float(col.mean()), stderr=stderr, n=n, seed=seed)
 
 

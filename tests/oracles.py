@@ -10,6 +10,8 @@ from __future__ import annotations
 import itertools
 import math
 
+import numpy as np
+
 from causelab.graph import Dag
 
 
@@ -202,3 +204,122 @@ def sq_distances_by_loop(xs, ys) -> list[list[float]]:
             row.append(total)
         out.append(row)
     return out
+
+
+def ancestors_by_parent_bfs(g: Dag, v: int) -> set[int]:
+    """v and every node with a directed path into v, by walking parents."""
+    seen = {v}
+    frontier = [v]
+    while frontier:
+        node = frontier.pop()
+        for u, w in g.edges:
+            if w == node and u not in seen:
+                seen.add(u)
+                frontier.append(u)
+    return seen
+
+
+def meek_closure_by_tuple_scans(n, directed, undirected):
+    """The four orientation rules over sorted tuple sets, rescanning every
+    directed edge for each cycle check.
+
+    Returns (directed, undirected, skipped): skipped lists the (i, j)
+    orientations refused because they would close a directed cycle, in
+    the order they were refused.
+    """
+    directed = set(directed)
+    undirected = {tuple(sorted(e)) for e in undirected}
+    skipped = []
+
+    def adjacent(i, j):
+        return (
+            (i, j) in directed
+            or (j, i) in directed
+            or tuple(sorted((i, j))) in undirected
+        )
+
+    def creates_cycle(i, j):
+        # would j -> ... -> i exist in the directed part?
+        stack, seen = [j], set()
+        while stack:
+            k = stack.pop()
+            if k == i:
+                return True
+            if k in seen:
+                continue
+            seen.add(k)
+            stack.extend(c for (p, c) in directed if p == k)
+        return False
+
+    def orient(i, j):
+        pair = tuple(sorted((i, j)))
+        if pair not in undirected:
+            return False
+        if creates_cycle(i, j):
+            skipped.append((i, j))
+            return False
+        undirected.discard(pair)
+        directed.add((i, j))
+        return True
+
+    changed = True
+    while changed:
+        changed = False
+        # R1: a -> b, b - c, a and c non-adjacent  =>  b -> c
+        for a, b in sorted(directed):
+            for pair in sorted(undirected):
+                if b in pair:
+                    c = pair[0] if pair[1] == b else pair[1]
+                    if c != a and not adjacent(a, c):
+                        changed |= orient(b, c)
+        # R2: a -> c -> b, a - b  =>  a -> b
+        for pair in sorted(undirected):
+            for a, b in (pair, pair[::-1]):
+                if any((a, c) in directed and (c, b) in directed for c in range(n)):
+                    changed |= orient(a, b)
+                    break
+        # R3: a - b; a - c, a - d; c -> b, d -> b; c, d non-adjacent  =>  a -> b
+        for pair in sorted(undirected):
+            for a, b in (pair, pair[::-1]):
+                cands = [
+                    c
+                    for c in range(n)
+                    if tuple(sorted((a, c))) in undirected and (c, b) in directed
+                ]
+                if any(
+                    not adjacent(c, d)
+                    for c, d in itertools.combinations(sorted(cands), 2)
+                ):
+                    changed |= orient(a, b)
+                    break
+        # R4: a - b; a - d; d -> c, c -> b; b, d non-adjacent; a, c adjacent  =>  a -> b
+        for pair in sorted(undirected):
+            for a, b in (pair, pair[::-1]):
+                hit = False
+                for d, c in sorted(directed):
+                    if (
+                        (c, b) in directed
+                        and tuple(sorted((a, d))) in undirected
+                        and not adjacent(b, d)
+                        and adjacent(a, c)
+                    ):
+                        hit = orient(a, b)
+                        break
+                if hit:
+                    changed = True
+                    break
+    return directed, undirected, skipped
+
+
+def median_distance_dense(xs, ys=None) -> float:
+    """Median positive pairwise distance from the full pooled m x m matrix."""
+    from causelab.kernels import _as_matrix, _sq_distances
+
+    xs = _as_matrix(xs)
+    pool = xs if ys is None else np.vstack([xs, _as_matrix(ys)])
+    d = np.sqrt(_sq_distances(pool, pool))
+    upper = d[np.triu_indices(len(pool), k=1)]
+    positive = upper[upper > 0]
+    if positive.size == 0:
+        return 1.0
+    return float(np.median(positive))

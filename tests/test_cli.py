@@ -1,4 +1,5 @@
 import json
+import math
 from importlib import resources
 from pathlib import Path
 
@@ -115,6 +116,15 @@ class TestSimulateInterveneCounterfactual:
         )
         assert code == 0
         assert abs(payload["mean"] - 2.0) < 0.05  # Y := H + 2T + U, do(T=1)
+        check_schema(payload, "intervene")
+
+    def test_intervene_single_draw_has_null_stderr(self, capsys, scm_file):
+        code, payload = run(
+            capsys, "intervene", "--scm", scm_file, "--set", "T=1", "--n", "1",
+            "--seed", "0", "--target", "Y",
+        )
+        assert code == 0
+        assert math.isfinite(payload["mean"]) and payload["stderr"] is None
         check_schema(payload, "intervene")
 
     def test_intervene_writes_csv(self, capsys, scm_file, tmp_path):

@@ -1,32 +1,46 @@
 """Cross-cutting randomized properties (hypothesis-driven)."""
 
+import logging
 import tempfile
 from pathlib import Path
 
 import numpy as np
-from hypothesis import given, settings
+import pytest
+from hypothesis import assume, given, settings
 from hypothesis import strategies as st
 
+from causelab.cgm import _check_front_door_shape
 from causelab.data import Dataset
 from causelab.graph import (
     Dag,
     count_dags,
     d_separated,
     markov_equivalent,
+    meek_closure,
     topological_order,
 )
+from causelab.errors import PreconditionError
 from causelab.kernels import (
     GaussianKernel,
     LinearKernel,
     PolynomialKernel,
     _sq_distances,
     gram,
+    median_heuristic,
     vc_bound,
 )
 from causelab.scm import sample
 
 from conftest import random_dag
-from oracles import dsep_by_paths, sq_distances_by_loop, topological_order_by_rescan
+from oracles import (
+    ancestors_by_parent_bfs,
+    directed_paths,
+    dsep_by_paths,
+    median_distance_dense,
+    meek_closure_by_tuple_scans,
+    sq_distances_by_loop,
+    topological_order_by_rescan,
+)
 from test_scm import linear_gaussian_pair
 
 
@@ -156,3 +170,103 @@ def test_sampling_is_reproducible(seed, n):
     m = linear_gaussian_pair()
     d1, d2 = sample(m, n, seed), sample(m, n, seed)
     assert np.array_equal(d1.column("Y"), d2.column("Y"))
+
+
+@settings(max_examples=50, deadline=None)
+@given(dags(max_nodes=8))
+def test_ancestor_masks_match_parent_bfs(g):
+    for v in range(g.n):
+        mask = g._ancestor_masks[v]
+        assert {i for i in range(g.n) if mask >> i & 1} == ancestors_by_parent_bfs(g, v)
+
+
+@settings(max_examples=80, deadline=None)
+@given(dags(max_nodes=7), st.integers(0, 2**16))
+def test_front_door_shape_check_matches_directed_paths(g, salt):
+    assume(g.n >= 3 and g.edges)
+    rng = np.random.default_rng(salt)
+    edges = sorted(g.edges)
+    t, mdtr = edges[int(rng.integers(len(edges)))]
+    # keep t -> mediator as the mediator's only in-edge; still acyclic
+    shaped = Dag(g.nodes, [(u, v) for u, v in edges if v != mdtr] + [(t, mdtr)])
+    y = int(rng.choice([k for k in range(g.n) if k not in (t, mdtr)]))
+    bypass = any(mdtr not in path for path in directed_paths(shaped, t, y))
+    names = shaped.nodes[t], shaped.nodes[mdtr], shaped.nodes[y]
+    if bypass:
+        with pytest.raises(PreconditionError, match="avoids the mediator"):
+            _check_front_door_shape(shaped, *names)
+    else:
+        _check_front_door_shape(shaped, *names)
+
+
+# one node pair's edge marks: forward, backward, undirected (either
+# orientation), and the conflicting combinations
+PAIR_STATES = (
+    (), (), (), ("fwd",), ("fwd",), ("back",), ("back",), ("und",), ("und",),
+    ("rund",), ("fwd", "back"), ("fwd", "und"), ("back", "rund"),
+)
+
+
+@st.composite
+def mixed_graphs(draw, max_nodes=7):
+    n = draw(st.integers(2, max_nodes))
+    directed, undirected = set(), set()
+    for i in range(n):
+        for j in range(i + 1, n):
+            for mark in draw(st.sampled_from(PAIR_STATES)):
+                if mark == "fwd":
+                    directed.add((i, j))
+                elif mark == "back":
+                    directed.add((j, i))
+                elif mark == "und":
+                    undirected.add((i, j))
+                else:
+                    undirected.add((j, i))
+    return n, directed, undirected
+
+
+class _Messages(logging.Handler):
+    def __init__(self):
+        super().__init__()
+        self.messages = []
+
+    def emit(self, record):
+        self.messages.append(record.getMessage())
+
+
+@settings(max_examples=300, deadline=None)
+@given(mixed_graphs())
+def test_meek_closure_matches_tuple_scan_reference(graph):
+    n, directed, undirected = graph
+    handler = _Messages()
+    log = logging.getLogger("causelab.graph")
+    log.addHandler(handler)
+    try:
+        got = meek_closure(n, directed, undirected)
+    finally:
+        log.removeHandler(handler)
+    want_dir, want_und, skipped = meek_closure_by_tuple_scans(n, directed, undirected)
+    assert got == (want_dir, want_und)
+    assert handler.messages == [
+        f"skipping orientation {i}->{j}: would close a directed cycle" for i, j in skipped
+    ]
+
+
+@settings(max_examples=30, deadline=None)
+@given(
+    st.integers(0, 2**32 - 1),
+    st.integers(1, 300),
+    st.integers(1, 3),
+    st.sampled_from(["distinct", "rounded", "zeros"]),
+    st.booleans(),
+)
+def test_median_heuristic_matches_dense_bitwise(seed, m, d, ties, pooled):
+    rng = np.random.default_rng(seed)
+    xs = rng.normal(size=(m, d))
+    if ties == "rounded":
+        xs = np.round(xs, 1)
+    elif ties == "zeros":
+        xs[: m // 2] = 0.0
+    ys = rng.normal(size=(int(rng.integers(1, 200)), d)) if pooled else None
+    fast = median_heuristic(xs, ys)
+    assert np.float64(fast).tobytes() == np.float64(median_distance_dense(xs, ys)).tobytes()
