@@ -46,6 +46,8 @@ class DiscoveryConfig:
     def __post_init__(self):
         if not 0.0 < self.alpha < 1.0:
             raise UsageError("alpha must lie in (0, 1)")
+        if self.max_cond_size < 0:
+            raise UsageError(f"max_cond_size must be >= 0, got {self.max_cond_size}")
         if self.ci_method == "oracle" and self.oracle_graph is None:
             raise UsageError("oracle CI mode requires oracle_graph")
 
@@ -99,76 +101,49 @@ def sgs_skeleton(data: Dataset | None, cfg: DiscoveryConfig) -> SkeletonResult:
     n = len(nodes)
     if n > MAX_SGS_NODES:
         raise UsageError(f"{n} variables exceed the exhaustive limit {MAX_SGS_NODES}")
-    independent = _decision_fn(data, cfg, nodes)
-    edges = set()
-    sepsets = {}
-    tests = 0
-    for i, j in itertools.combinations(range(n), 2):
-        rest = [k for k in range(n) if k not in (i, j)]
-        found = None
-        for size in range(min(len(rest), cfg.max_cond_size if data is not None else len(rest)) + 1):
-            for zs in itertools.combinations(rest, size):
-                tests += 1
-                if independent(i, j, zs):
-                    found = zs
-                    break
-            if found is not None:
-                break
-        if found is None:
-            edges.add((nodes[i], nodes[j]))
-        else:
-            sepsets[(nodes[i], nodes[j])] = frozenset(nodes[k] for k in found)
-    return SkeletonResult(
-        nodes=tuple(nodes),
-        edges=frozenset(edges),
-        sepsets=sepsets,
-        tests_performed=tests,
-    )
+    return _skeleton_search(data, cfg, nodes, adjacent_only=False)
 
 
 def pc_skeleton(data: Dataset | None, cfg: DiscoveryConfig) -> SkeletonResult:
     """Neighbor-restricted skeleton search with per-sweep frozen adjacencies."""
     nodes = cfg.oracle_graph.nodes if data is None else data.columns
+    return _skeleton_search(data, cfg, nodes, adjacent_only=True)
+
+
+def _skeleton_search(data, cfg: DiscoveryConfig, nodes, adjacent_only: bool):
+    """Level-wise edge removal. Sweep k tests each adjacent pair i < j on the
+    k-subsets of i's frozen pool, then on those of j's pool not inside i's.
+    A pool is the node's adjacency at the sweep's start, or every other node."""
     n = len(nodes)
     independent = _decision_fn(data, cfg, nodes)
-    adj = {i: set(range(n)) - {i} for i in range(n)}
+    adj = [set(range(n)) - {i} for i in range(n)]
+    everyone = [sorted(a) for a in adj]
     sepsets = {}
     tests = 0
-    size = 0
     max_size = cfg.max_cond_size if data is not None else n - 2
-    while size <= max_size:
-        snapshot = {i: sorted(adj[i]) for i in range(n)}
-        if all(len(snapshot[i]) - 1 < size for i in range(n)):
+    for size in range(max_size + 1):
+        pools = [sorted(a) for a in adj] if adjacent_only else everyone
+        if all(len(pool) - 1 < size for pool in pools):
             break
         removals = []
         for i, j in itertools.combinations(range(n), 2):
             if j not in adj[i]:
                 continue
-            found = None
-            candidate_pools = []
-            if len(snapshot[i]) - 1 >= size:
-                candidate_pools.append([k for k in snapshot[i] if k != j])
-            if len(snapshot[j]) - 1 >= size:
-                candidate_pools.append([k for k in snapshot[j] if k != i])
-            seen = set()
-            for pool in candidate_pools:
-                for zs in itertools.combinations(pool, size):
-                    if zs in seen:
-                        continue
-                    seen.add(zs)
-                    tests += 1
-                    if independent(i, j, zs):
-                        found = zs
-                        break
-                if found is not None:
+            pool_i = [k for k in pools[i] if k != j]
+            inside = set(pool_i)
+            from_j = itertools.combinations([k for k in pools[j] if k != i], size)
+            for zs in itertools.chain(
+                itertools.combinations(pool_i, size),
+                (zs for zs in from_j if not inside.issuperset(zs)),
+            ):
+                tests += 1
+                if independent(i, j, zs):
+                    removals.append((i, j, zs))
                     break
-            if found is not None:
-                removals.append((i, j, found))
         for i, j, zs in removals:
             adj[i].discard(j)
             adj[j].discard(i)
             sepsets[(nodes[i], nodes[j])] = frozenset(nodes[k] for k in zs)
-        size += 1
     edges = frozenset(
         (nodes[i], nodes[j]) for i, j in itertools.combinations(range(n), 2) if j in adj[i]
     )
@@ -181,7 +156,8 @@ def orient(skeleton: SkeletonResult) -> Cpdag:
     """V-structures from separating sets, then rule closure.
 
     Finite-sample conflicts (a later v-structure trying to flip an
-    already-oriented edge) resolve first-found-wins with a warning.
+    already-oriented edge) resolve first-found-wins with a warning; an
+    orientation that would close a directed cycle is skipped with one.
     """
     nodes = skeleton.nodes
     n = len(nodes)
@@ -196,7 +172,7 @@ def orient(skeleton: SkeletonResult) -> Cpdag:
         a, b = (nodes[i], nodes[j]) if i < j else (nodes[j], nodes[i])
         return skeleton.sepsets.get((a, b), frozenset())
 
-    directed: set[tuple[int, int]] = set()
+    out = [0] * n  # out[i] bit j: v-structure orientation i -> j
     for a, b in itertools.combinations(range(n), 2):
         if b in adj[a]:
             continue
@@ -204,13 +180,19 @@ def orient(skeleton: SkeletonResult) -> Cpdag:
             if nodes[c] in sepset(a, b):
                 continue
             for tail in (a, b):
-                if (c, tail) in directed:
+                if out[c] >> tail & 1:
                     logger.warning(
                         "orientation conflict at %s->%s<-%s: keeping earlier %s->%s",
                         nodes[a], nodes[c], nodes[b], nodes[c], nodes[tail],
                     )
+                elif graph_mod._reaches(out, c, tail):
+                    logger.warning(
+                        "skipping orientation %s->%s: would close a directed cycle",
+                        nodes[tail], nodes[c],
+                    )
                 else:
-                    directed.add((tail, c))
+                    out[tail] |= 1 << c
+    directed = {(i, j) for i in range(n) for j in graph_mod._bits(out[i])}
     return graph_mod._cpdag_from_pattern(nodes, pairs, directed)
 
 
@@ -319,6 +301,15 @@ def score_search(data: Dataset, cfg: DiscoveryConfig) -> ScoreSearchResult:
     return _greedy_search(data, nodes, model)
 
 
+def _acyclic_after(out: list[int], u: int, v: int, reverse: bool) -> bool:
+    """Whether the DAG with child masks out stays acyclic after adding u -> v,
+    or with reverse, after turning its edge u -> v into v -> u."""
+    if reverse:  # u must not reach v once u -> v is gone
+        out = [*out[:u], out[u] & ~(1 << v), *out[u + 1 :]]
+        return not graph_mod._reaches(out, u, v)
+    return not graph_mod._reaches(out, v, u)
+
+
 def _greedy_search(data: Dataset, nodes, model) -> ScoreSearchResult:
     columns = {v: data.column(v).astype(float) for v in nodes}
     family = _family_loglik(data, nodes, model)
@@ -333,37 +324,25 @@ def _greedy_search(data: Dataset, nodes, model) -> ScoreSearchResult:
         return cache[key]
 
     n = len(nodes)
+    index = {v: k for k, v in enumerate(nodes)}
     parent_sets = {v: set() for v in nodes}
     scored = 0
-
-    def acyclic_with(edge_changes):
-        edges = set()
-        for v in nodes:
-            for p in parent_sets[v]:
-                edges.add((p, v))
-        for op, (u, v) in edge_changes:
-            if op == "add":
-                edges.add((u, v))
-            elif op == "del":
-                edges.discard((u, v))
-        try:
-            Dag(nodes, edges)
-            return True
-        except UsageError:
-            return False
-
     op_rank = {"add": 0, "del": 1, "rev": 2}
 
     def scan_moves():
         nonlocal scored
         moves = []
+        out = [0] * n
+        for v in nodes:
+            for p in parent_sets[v]:
+                out[index[p]] |= 1 << index[v]
         for u, v in itertools.permutations(nodes, 2):
             if u in parent_sets[v]:
                 gain = local(v, parent_sets[v] - {u}) - local(v, parent_sets[v])
                 scored += 1
                 moves.append((gain, ("del", u, v)))
-                if v not in parent_sets[u] and acyclic_with(
-                    [("del", (u, v)), ("add", (v, u))]
+                if v not in parent_sets[u] and _acyclic_after(
+                    out, index[u], index[v], reverse=True
                 ):
                     gain = (
                         local(v, parent_sets[v] - {u})
@@ -374,7 +353,7 @@ def _greedy_search(data: Dataset, nodes, model) -> ScoreSearchResult:
                     scored += 1
                     moves.append((gain, ("rev", u, v)))
             elif v not in parent_sets[u] and u not in parent_sets[v]:
-                if acyclic_with([("add", (u, v))]):
+                if _acyclic_after(out, index[u], index[v], reverse=False):
                     gain = local(v, parent_sets[v] | {u}) - local(v, parent_sets[v])
                     scored += 1
                     moves.append((gain, ("add", u, v)))

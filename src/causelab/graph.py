@@ -149,6 +149,11 @@ class Cpdag:
 
     def __post_init__(self):
         und = frozenset(tuple(sorted(e)) for e in self.undirected)
+        for u, v in und:
+            if u == v or u not in self.nodes or v not in self.nodes:
+                raise UsageError(
+                    f"undirected edge ({u!r}, {v!r}) is a self-loop or names an unknown node"
+                )
         object.__setattr__(self, "undirected", und)
         dir_pairs = {tuple(sorted(e)) for e in self.directed}
         if dir_pairs & set(und):
@@ -171,6 +176,19 @@ def _kahn_order(
             if indegree[j] == 0:
                 heapq.heappush(ready, j)
     return tuple(order) if len(order) == len(parent_masks) else None
+
+
+def _reaches(out_masks: Sequence[int], src: int, dst: int) -> bool:
+    """Whether a directed path, possibly empty, leads from src to dst;
+    out_masks[i] bit j means i -> j."""
+    reach, frontier = 0, 1 << src
+    while frontier and not frontier >> dst & 1:
+        reach |= frontier
+        nxt = 0
+        for k in _bits(frontier):
+            nxt |= out_masks[k]
+        frontier = nxt & ~reach
+    return frontier != 0
 
 
 def topological_order(g: Dag) -> tuple[int, ...]:
@@ -341,14 +359,7 @@ def meek_closure(
     adj = [out[i] | into[i] | und[i] for i in range(n)]
 
     def orient(i, j):
-        reach, frontier = 0, 1 << j
-        while frontier:  # everything j reaches along directed edges
-            reach |= frontier
-            nxt = 0
-            for k in _bits(frontier):
-                nxt |= out[k]
-            frontier = nxt & ~reach
-        if reach >> i & 1:
+        if _reaches(out, j, i):
             logger.warning(
                 "skipping orientation %s->%s: would close a directed cycle", i, j
             )

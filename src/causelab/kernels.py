@@ -164,6 +164,8 @@ def _permutation_pvalue(observed: float, perm_stats: np.ndarray) -> float:
 
 
 def _run_permutations(stat_fn, perms: int, seed: int, n: int) -> np.ndarray:
+    if perms < 1:
+        raise UsageError(f"perms must be >= 1, got {perms}")
     rng = np.random.Generator(np.random.Philox(np.random.SeedSequence(seed)))
     index_sets = [rng.permutation(n) for _ in range(perms)]
     workers = max_threads()

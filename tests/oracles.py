@@ -311,6 +311,95 @@ def meek_closure_by_tuple_scans(n, directed, undirected):
     return directed, undirected, skipped
 
 
+def sgs_skeleton_by_pairs(data, cfg):
+    """Exhaustive-subset skeleton, one pair at a time: every subset of the
+    other nodes, by size then lexicographically, until one separates."""
+    from causelab.discovery import SkeletonResult, _decision_fn
+
+    nodes = cfg.oracle_graph.nodes if data is None else data.columns
+    n = len(nodes)
+    independent = _decision_fn(data, cfg, nodes)
+    edges = set()
+    sepsets = {}
+    tests = 0
+    for i, j in itertools.combinations(range(n), 2):
+        rest = [k for k in range(n) if k not in (i, j)]
+        found = None
+        for size in range(min(len(rest), cfg.max_cond_size if data is not None else len(rest)) + 1):
+            for zs in itertools.combinations(rest, size):
+                tests += 1
+                if independent(i, j, zs):
+                    found = zs
+                    break
+            if found is not None:
+                break
+        if found is None:
+            edges.add((nodes[i], nodes[j]))
+        else:
+            sepsets[(nodes[i], nodes[j])] = frozenset(nodes[k] for k in found)
+    return SkeletonResult(
+        nodes=tuple(nodes),
+        edges=frozenset(edges),
+        sepsets=sepsets,
+        tests_performed=tests,
+    )
+
+
+def pc_skeleton_by_seen_tuples(data, cfg):
+    """Neighbor-restricted skeleton over sorted per-sweep adjacency
+    snapshots, skipping repeated conditioning sets through a set of seen
+    tuples."""
+    from causelab.discovery import SkeletonResult, _decision_fn
+
+    nodes = cfg.oracle_graph.nodes if data is None else data.columns
+    n = len(nodes)
+    independent = _decision_fn(data, cfg, nodes)
+    adj = {i: set(range(n)) - {i} for i in range(n)}
+    sepsets = {}
+    tests = 0
+    size = 0
+    max_size = cfg.max_cond_size if data is not None else n - 2
+    while size <= max_size:
+        snapshot = {i: sorted(adj[i]) for i in range(n)}
+        if all(len(snapshot[i]) - 1 < size for i in range(n)):
+            break
+        removals = []
+        for i, j in itertools.combinations(range(n), 2):
+            if j not in adj[i]:
+                continue
+            found = None
+            candidate_pools = []
+            if len(snapshot[i]) - 1 >= size:
+                candidate_pools.append([k for k in snapshot[i] if k != j])
+            if len(snapshot[j]) - 1 >= size:
+                candidate_pools.append([k for k in snapshot[j] if k != i])
+            seen = set()
+            for pool in candidate_pools:
+                for zs in itertools.combinations(pool, size):
+                    if zs in seen:
+                        continue
+                    seen.add(zs)
+                    tests += 1
+                    if independent(i, j, zs):
+                        found = zs
+                        break
+                if found is not None:
+                    break
+            if found is not None:
+                removals.append((i, j, found))
+        for i, j, zs in removals:
+            adj[i].discard(j)
+            adj[j].discard(i)
+            sepsets[(nodes[i], nodes[j])] = frozenset(nodes[k] for k in zs)
+        size += 1
+    edges = frozenset(
+        (nodes[i], nodes[j]) for i, j in itertools.combinations(range(n), 2) if j in adj[i]
+    )
+    return SkeletonResult(
+        nodes=tuple(nodes), edges=edges, sepsets=sepsets, tests_performed=tests
+    )
+
+
 def median_distance_dense(xs, ys=None) -> float:
     """Median positive pairwise distance from the full pooled m x m matrix."""
     from causelab.kernels import _as_matrix, _sq_distances

@@ -1,5 +1,9 @@
 import json
 import math
+import os
+import re
+import subprocess
+import sys
 from importlib import resources
 from pathlib import Path
 
@@ -259,6 +263,65 @@ class TestDiscoverCli:
         code, _ = run(capsys, "discover", "--data", str(path), "--method", "pc",
                       "--seed", "0")
         assert code == 2
+
+    @pytest.mark.parametrize("seed", ["3", "5"])
+    def test_halfsibling_pc_skips_cycle_closing_v_structures(self, capsys, tmp_path, seed):
+        data = tmp_path / "hs.csv"
+        run(capsys, "generate", "--scenario", "halfsibling", "--n", "800",
+            "--seed", seed, "--out", str(data))
+        src = str(Path(__file__).resolve().parent.parent / "src")
+        env = dict(os.environ)
+        env["PYTHONPATH"] = os.pathsep.join(p for p in (src, env.get("PYTHONPATH")) if p)
+        res = subprocess.run(
+            [sys.executable, "-m", "causelab.cli", "discover", "--data", str(data),
+             "--method", "pc", "--alpha", "0.01", "--seed", "0"],
+            capture_output=True, text=True, env=env, timeout=300,
+        )
+        assert res.returncode == 0, res.stderr
+        assert re.search(
+            r"^skipping orientation X\d+->X\d+: would close a directed cycle$",
+            res.stderr, re.M,
+        )
+        cpdag = json.loads(res.stdout)["cpdag"]
+        Dag(cpdag["nodes"], cpdag["edges"])  # raises on a directed cycle
+
+
+class TestBadFlagValues:
+    @pytest.fixture
+    def xyz_csv(self, tmp_path):
+        import numpy as np
+        from causelab.data import Dataset
+
+        rng = np.random.default_rng(4)
+        path = tmp_path / "xyz.csv"
+        Dataset.from_columns({c: rng.normal(size=120) for c in "XYZ"}).to_csv(path)
+        return str(path)
+
+    @pytest.mark.parametrize(
+        "argv",
+        [
+            ["discover", "--method", "pc", "--max-cond", "-1"],
+            ["discover", "--method", "pc", "--ci", "kernel-residual", "--perms", "0"],
+            ["discover", "--method", "anm", "--x", "X", "--y", "Y", "--perms", "0"],
+            ["hsic", "--x", "X", "--y", "Y", "--perms", "0"],
+            ["hsic", "--x", "X", "--y", "Y", "--perms", "-3"],
+            ["test-ci", "--a", "X", "--b", "Y", "--given", "Z",
+             "--method", "kernel-residual", "--perms", "0"],
+        ],
+    )
+    def test_exit2_with_one_line(self, capsys, xyz_csv, argv):
+        seed = [] if argv[0] == "test-ci" else ["--seed", "0"]
+        code = main([argv[0], "--data", xyz_csv, *argv[1:], *seed])
+        captured = capsys.readouterr()
+        assert code == 2 and captured.out == ""
+        assert captured.err.startswith("error: ") and captured.err.count("\n") == 1
+
+    def test_mmd_zero_perms_exit2(self, capsys, xyz_csv):
+        code = main(["mmd", "--data1", xyz_csv, "--data2", xyz_csv, "--perms", "0",
+                     "--seed", "0"])
+        captured = capsys.readouterr()
+        assert code == 2 and captured.out == ""
+        assert captured.err == "error: perms must be >= 1, got 0\n"
 
 
 class TestEstimateCli:

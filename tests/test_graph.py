@@ -11,6 +11,7 @@ from causelab.graph import (
     Cpdag,
     Dag,
     count_dags,
+    cpdag_from_json,
     cpdag_of,
     d_separated,
     dag_from_json,
@@ -186,6 +187,12 @@ class TestCpdag:
     def test_invariants_enforced(self):
         with pytest.raises(UsageError):
             Cpdag(("A", "B"), frozenset({("A", "B")}), frozenset({("A", "B")}))
+
+    @pytest.mark.parametrize("edge", [["A", "Z"], ["B", "B"]])
+    def test_undirected_edge_must_join_two_known_nodes(self, edge):
+        text = json.dumps({"nodes": ["A", "B"], "undirected_edges": [edge]})
+        with pytest.raises(UsageError, match="self-loop or names an unknown node"):
+            cpdag_from_json(text)
 
     def test_matches_class_enumeration_on_all_4node_dags(self):
         nodes = ["A", "B", "C", "D"]

@@ -1,5 +1,6 @@
 """Cross-cutting randomized properties (hypothesis-driven)."""
 
+import itertools
 import logging
 import tempfile
 from pathlib import Path
@@ -11,6 +12,14 @@ from hypothesis import strategies as st
 
 from causelab.cgm import _check_front_door_shape
 from causelab.data import Dataset
+from causelab.discovery import (
+    DiscoveryConfig,
+    SkeletonResult,
+    _acyclic_after,
+    orient,
+    pc_skeleton,
+    sgs_skeleton,
+)
 from causelab.graph import (
     Dag,
     count_dags,
@@ -19,7 +28,7 @@ from causelab.graph import (
     meek_closure,
     topological_order,
 )
-from causelab.errors import PreconditionError
+from causelab.errors import PreconditionError, UsageError
 from causelab.kernels import (
     GaussianKernel,
     LinearKernel,
@@ -38,6 +47,8 @@ from oracles import (
     dsep_by_paths,
     median_distance_dense,
     meek_closure_by_tuple_scans,
+    pc_skeleton_by_seen_tuples,
+    sgs_skeleton_by_pairs,
     sq_distances_by_loop,
     topological_order_by_rescan,
 )
@@ -270,3 +281,82 @@ def test_median_heuristic_matches_dense_bitwise(seed, m, d, ties, pooled):
     ys = rng.normal(size=(int(rng.integers(1, 200)), d)) if pooled else None
     fast = median_heuristic(xs, ys)
     assert np.float64(fast).tobytes() == np.float64(median_distance_dense(xs, ys)).tobytes()
+
+
+@st.composite
+def linear_datasets(draw):
+    """Small linear-Gaussian samples from a random DAG, with a random
+    alpha and conditioning-set cap, so that CI decisions err both ways."""
+    rng = np.random.default_rng(draw(st.integers(0, 2**32 - 1)))
+    g = random_dag(draw(st.integers(2, 6)), rng, draw(st.floats(0.2, 0.8)))
+    rows = draw(st.integers(20, 120))
+    cols = np.zeros((rows, g.n))
+    for v in topological_order(g):
+        cols[:, v] = rng.normal(size=rows)
+        for p in g.parents(v):
+            cols[:, v] += rng.uniform(-1.0, 1.0) * cols[:, p]
+    data = Dataset.from_columns({name: cols[:, k] for k, name in enumerate(g.nodes)})
+    cfg = DiscoveryConfig(
+        alpha=draw(st.floats(0.001, 0.5)), max_cond_size=draw(st.integers(0, 4))
+    )
+    return data, cfg
+
+
+@settings(max_examples=300, deadline=None)
+@given(dags(max_nodes=8))
+def test_oracle_skeletons_match_reference_loops(g):
+    cfg = DiscoveryConfig(ci_method="oracle", oracle_graph=g)
+    assert pc_skeleton(None, cfg) == pc_skeleton_by_seen_tuples(None, cfg)
+    assert sgs_skeleton(None, cfg) == sgs_skeleton_by_pairs(None, cfg)
+
+
+@settings(max_examples=150, deadline=None)
+@given(linear_datasets())
+def test_data_skeletons_match_reference_loops(case):
+    data, cfg = case
+    assert pc_skeleton(data, cfg) == pc_skeleton_by_seen_tuples(data, cfg)
+    assert sgs_skeleton(data, cfg) == sgs_skeleton_by_pairs(data, cfg)
+
+
+@st.composite
+def skeletons_with_sepsets(draw, max_nodes=8):
+    n = draw(st.integers(2, max_nodes))
+    nodes = tuple(f"V{k}" for k in range(n))
+    edges, sepsets = set(), {}
+    for i, j in itertools.combinations(range(n), 2):
+        if draw(st.booleans()):
+            edges.add((nodes[i], nodes[j]))
+        elif n > 2:
+            others = [v for k, v in enumerate(nodes) if k not in (i, j)]
+            sepsets[(nodes[i], nodes[j])] = frozenset(
+                draw(st.sets(st.sampled_from(others), max_size=2))
+            )
+    return SkeletonResult(nodes, frozenset(edges), sepsets, 0)
+
+
+@settings(max_examples=300, deadline=None)
+@given(skeletons_with_sepsets())
+def test_orient_never_raises_and_keeps_the_directed_part_acyclic(skeleton):
+    cpdag = orient(skeleton)
+    Dag(cpdag.nodes, cpdag.directed)  # raises on a directed cycle
+    pairs = {tuple(sorted(e)) for e in cpdag.directed | cpdag.undirected}
+    assert pairs == set(skeleton.edges)
+
+
+@settings(max_examples=80, deadline=None)
+@given(dags(max_nodes=7))
+def test_greedy_acyclicity_checks_match_dag_construction(g):
+    def builds(edges):
+        try:
+            Dag(g.nodes, edges)
+            return True
+        except UsageError:
+            return False
+
+    out = list(g._child_masks)
+    for u, v in itertools.permutations(range(g.n), 2):
+        if (u, v) in g.edges:
+            turned = g.edges - {(u, v)} | {(v, u)}
+            assert _acyclic_after(out, u, v, reverse=True) == builds(turned)
+        elif (v, u) not in g.edges:
+            assert _acyclic_after(out, u, v, reverse=False) == builds(g.edges | {(u, v)})
