@@ -1,10 +1,12 @@
 """Exact inference in discrete causal graphical models.
 
-Everything here is exact enumeration over the product state space (with
-a hard cap), because this module doubles as the oracle layer for the
-rest of the repository: interventional truths, adjustment identities and
-conditional mutual information are all computed to float precision, not
-approximated.
+Every query is one exact factor contraction (variable elimination by
+np.einsum on a fixed pairwise path) over the conditionals of the queried
+variables' ancestors, with point masses at intervened variables; the
+state space of that ancestral set is capped. This module doubles as the
+oracle layer for the rest of the repository: interventional truths,
+adjustment identities and conditional mutual information are all
+computed to float precision, not approximated.
 """
 
 from __future__ import annotations
@@ -19,10 +21,9 @@ import numpy as np
 
 from .data import Dataset
 from .errors import OverlapError, PreconditionError, UsageError
-from .graph import Dag, topological_order
+from .graph import Dag, _bits, topological_order
 from .scm import (
     DiracNoise,
-    FiniteNoise,
     Intervention,
     Scm,
     Table,
@@ -156,57 +157,65 @@ class Factor:
         return float(self.values.sum())
 
 
-def _check_limit(m: DiscreteCgm, limit: int) -> None:
-    size = m.state_space_size()
+# np.einsum names each axis by a letter, so one contraction spans at most
+# 52 variables
+_MAX_SUBSCRIPTS = 52
+
+
+def _contract(
+    m: DiscreteCgm, keep: Sequence[str], do: Mapping, limit: int
+) -> np.ndarray:
+    """Sum over all but ``keep`` of the product of the conditionals, with a
+    point mass in place of the conditional of every ``do`` variable; the
+    result's axes follow ``keep``.
+
+    Only the ancestors of keep and do enter, since every other conditional
+    sums to 1. Each intermediate of the fixed pairwise path spans a subset
+    of them, so ``limit`` bounds their joint state space up front.
+    """
+    g = m.dag
+    points = {v: m.value_index(v, value) for v, value in do.items()}
+    mask = 0
+    for v in (*keep, *points):
+        mask |= g._ancestor_masks[g.index(v)]
+    names = [g.nodes[i] for i in _bits(mask)]
+    size = math.prod(len(m.domains[v]) for v in names)
     if size > limit:
         raise UsageError(f"state space {size} exceeds limit {limit}")
-
-
-def _broadcast_cpt(m: DiscreteCgm, name: str, delta_value=None) -> np.ndarray:
-    """CPT (or intervention delta) reshaped over the full variable order."""
-    nodes = m.dag.nodes
-    if delta_value is None:
-        cpt = m.cpts[name]
-        axes_vars = list(cpt.parents) + [name]
-        arr = cpt.values
-    else:
-        axes_vars = [name]
-        arr = np.zeros(len(m.domains[name]))
-        arr[m.value_index(name, delta_value)] = 1.0
-    shape = [1] * len(nodes)
-    src_order = sorted(range(len(axes_vars)), key=lambda k: nodes.index(axes_vars[k]))
-    arr = np.transpose(arr, src_order)
-    for v in axes_vars:
-        shape[nodes.index(v)] = len(m.domains[v])
-    return arr.reshape(shape)
-
-
-def _product(m: DiscreteCgm, assignments: Mapping, limit: int) -> Factor:
-    """Product over all variables of their conditionals, with a point mass
-    in place of the conditional of every assigned variable."""
-    _check_limit(m, limit)
-    nodes = m.dag.nodes
-    out = np.ones(tuple(len(m.domains[v]) for v in nodes))
-    for name in nodes:
-        out = out * _broadcast_cpt(m, name, delta_value=assignments.get(name))
-    return Factor(
-        scope=nodes, domains=tuple(m.domains[v] for v in nodes), values=out
-    )
+    if len(names) > _MAX_SUBSCRIPTS:
+        raise UsageError(
+            f"{len(names)} ancestral variables exceed {_MAX_SUBSCRIPTS} einsum subscripts"
+        )
+    label = {v: k for k, v in enumerate(names)}
+    operands = []
+    for v in names:
+        if v in points:
+            delta = np.zeros(len(m.domains[v]))
+            delta[points[v]] = 1.0
+            operands += [delta, [label[v]]]
+        else:
+            cpt = m.cpts[v]
+            operands += [cpt.values, [label[u] for u in (*cpt.parents, v)]]
+    path = ["einsum_path"] + [(0, 1)] * (len(names) - 1)
+    return np.einsum(*operands, [label[v] for v in keep], optimize=path)
 
 
 def joint(m: DiscreteCgm, limit: int = DEFAULT_STATE_LIMIT) -> Factor:
     """Exact product of the per-variable conditionals, over all variables."""
-    return _product(m, {}, limit)
+    return truncated_factorization(m, {}, limit)
 
 
 def truncated_factorization(
     m: DiscreteCgm, i: Intervention | Mapping, limit: int = DEFAULT_STATE_LIMIT
 ) -> Factor:
     """Interventional joint: deltas at targets times untouched conditionals."""
-    assignments = i.assignments if isinstance(i, Intervention) else dict(i)
-    for name in assignments:
-        m.domain(name)  # raises for unknown variables
-    return _product(m, assignments, limit)
+    do = i.assignments if isinstance(i, Intervention) else i
+    nodes = m.dag.nodes
+    return Factor(
+        scope=nodes,
+        domains=tuple(m.domains[v] for v in nodes),
+        values=_contract(m, nodes, do, limit),
+    )
 
 
 def condition(
@@ -220,14 +229,11 @@ def condition(
     The query may itself appear in the evidence; the result is then an
     indicator vector (provided the evidence has positive probability).
     """
-    m.domain(query)
-    f = joint(m, limit)
     keep = [query] + [v for v in m.dag.nodes if v in given and v != query]
-    marg = f.marginal(keep)
     index = [slice(None)] + [
         m.value_index(v, given[v]) for v in keep[1:]
     ]
-    slice_vals = marg.values[tuple(index)]
+    slice_vals = _contract(m, keep, {}, limit)[tuple(index)]
     if query in given:
         qi = m.value_index(query, given[query])
         if slice_vals[qi] <= 0:
@@ -244,9 +250,9 @@ def condition(
 def interventional_marginal(
     m: DiscreteCgm, target: str, i: Intervention | Mapping, limit: int = DEFAULT_STATE_LIMIT
 ) -> np.ndarray:
-    """p(target | do(i)) over the target domain, by the interventional joint."""
-    f = truncated_factorization(m, i, limit)
-    return f.marginal([target]).values
+    """p(target | do(i)) over the target domain, by the truncated factorization."""
+    do = i.assignments if isinstance(i, Intervention) else i
+    return _contract(m, [target], do, limit)
 
 
 def adjustment_formula(
@@ -264,40 +270,24 @@ def adjustment_formula(
     z = sorted(set(z))
     if t in z or y in z:
         raise UsageError("adjustment set must exclude treatment and outcome")
-    f = joint(m, limit)
-    scope = [t] + z + [y]
-    marg = f.marginal(scope).values  # axes: t, *z, y
+    marg = _contract(m, [t] + z + [y], {}, limit)  # axes: t, *z, y
     pz = marg.sum(axis=(0, -1))  # over z axes
+    positive = (pz > 0)[..., None]
     out = {}
     for ti, tval in enumerate(m.domain(t)):
         tyz = marg[ti]  # axes: *z, y
-        ptz = tyz.sum(axis=-1)
-        if z:
-            positive = pz > 0
-            lacking = positive & (ptz <= 0)
-            if lacking.any():
-                config = np.argwhere(lacking)[0]
-                stratum = {
-                    var: m.domain(var)[k] for var, k in zip(z, config)
-                }
-                raise OverlapError(
-                    f"no mass for {t}={tval!r} in stratum {stratum!r}",
-                    stratum={"treatment_value": tval, "stratum": stratum},
-                )
-            cond = np.zeros_like(tyz)
-            cond[positive] = tyz[positive] / ptz[positive][..., None]
-            weights = np.zeros_like(pz)
-            weights[positive] = pz[positive]
-            result = np.tensordot(weights, cond, axes=(tuple(range(weights.ndim)), tuple(range(weights.ndim))))
-        else:
-            total = ptz if np.ndim(ptz) == 0 else float(ptz)
-            if total <= 0:
-                raise OverlapError(
-                    f"no mass for {t}={tval!r}",
-                    stratum={"treatment_value": tval, "stratum": {}},
-                )
-            result = tyz / total
-        out[tval] = np.asarray(result, dtype=float)
+        ptz = tyz.sum(axis=-1, keepdims=True)
+        lacking = positive & (ptz <= 0)
+        if lacking.any():
+            config = np.argwhere(lacking)[0]
+            stratum = {var: m.domain(var)[k] for var, k in zip(z, config)}
+            where = f" in stratum {stratum!r}" if z else ""
+            raise OverlapError(
+                f"no mass for {t}={tval!r}{where}",
+                stratum={"treatment_value": tval, "stratum": stratum},
+            )
+        cond = np.divide(tyz, ptz, out=np.zeros_like(tyz), where=positive)
+        out[tval] = np.tensordot(pz, cond, axes=len(z))
     return out
 
 
@@ -311,8 +301,7 @@ def front_door_formula(
     strictly positive.
     """
     _check_front_door_shape(m.dag, t, mdtr, y)
-    f = joint(m, limit)
-    marg = f.marginal([t, mdtr, y]).values  # axes: t, m, y
+    marg = _contract(m, [t, mdtr, y], {}, limit)  # axes: t, m, y
     ptm = marg.sum(axis=2)
     if (ptm <= 0).any():
         bad = np.argwhere(ptm <= 0)[0]
@@ -361,16 +350,15 @@ def cmi(
     z = sorted(set(z))
     if a in z or b in z:
         raise UsageError("conditioning set must exclude the tested variables")
-    f = joint(m, limit)
     if a == b:
         # I(A; A | Z) is the conditional entropy H(A | Z)
-        paz = f.marginal([a] + z).values
+        paz = _contract(m, [a] + z, {}, limit)
         pz = paz.sum(axis=0) if z else paz.sum()
         with np.errstate(divide="ignore", invalid="ignore"):
             ratio = np.where(paz > 0, paz / pz, 1.0)
         val = -float(np.sum(paz * np.log(ratio), where=paz > 0))
         return max(val, 0.0)
-    pabz = f.marginal([a, b] + z).values
+    pabz = _contract(m, [a, b] + z, {}, limit)
     paz = pabz.sum(axis=1)
     pbz = pabz.sum(axis=0)
     pz = pabz.sum(axis=(0, 1)) if z else np.asarray(pabz.sum())
@@ -410,50 +398,36 @@ def random_cgm(
 def cgm_from_scm(m: Scm) -> DiscreteCgm:
     """Exact CPTs for a discrete SCM (tabular/constant mechanisms, finite noise).
 
-    p(x | parents) is obtained by enumerating each variable's noise
-    support and accumulating the probability of every output value.
+    In topological order, each variable's mechanism is evaluated at every
+    parent configuration and noise value; the outputs give its support,
+    and their noise probabilities accumulate into p(x | parents).
     """
     g = induced_graph(m)
     support: dict[str, tuple] = {}
+    cpts = {}
     for idx in topological_order(g):
         name = m.variables[idx]
-        mech = m.mechanisms[name]
+        expr = m.mechanisms[name].expr
         spec = m.noises[name]
         if not spec.enumerable():
             raise UsageError(f"{name!r}: noise is not finitely supported")
-        if isinstance(spec, DiracNoise):
-            pairs = [(spec.point, 1.0)]
-        else:
-            assert isinstance(spec, FiniteNoise)
-            pairs = list(zip(spec.values, spec.probs))
-        parent_doms = [support[p] for p in mech.parents]
-        values = set()
-        for config in itertools.product(*parent_doms):
-            pa = dict(zip(mech.parents, config))
-            for u, _ in pairs:
-                values.add(_eval_scalar(mech.expr, pa, u))
-        support[name] = tuple(sorted(values))
-    cpts = {}
-    for name in m.variables:
-        mech = m.mechanisms[name]
-        spec = m.noises[name]
         pairs = (
             [(spec.point, 1.0)]
             if isinstance(spec, DiracNoise)
             else list(zip(spec.values, spec.probs))
         )
-        parent_names = tuple(m.variables[p] for p in g.parents(name))
+        parent_names = tuple(m.variables[p] for p in g.parents(idx))
         parent_doms = [support[p] for p in parent_names]
-        sizes = tuple(len(d) for d in parent_doms)
-        arr = np.zeros((*sizes, len(support[name])))
-        out_index = {v: i for i, v in enumerate(support[name])}
-        for config_idx in itertools.product(*(range(s) for s in sizes)):
-            pa = {
-                p: parent_doms[k][i] for k, (p, i) in enumerate(zip(parent_names, config_idx))
-            }
-            for u, prob in pairs:
-                out = _eval_scalar(mech.expr, pa, u)
-                arr[config_idx + (out_index[out],)] += prob
+        outcomes = {}  # parent value indices -> [(output, probability)]
+        for config in itertools.product(*(range(len(d)) for d in parent_doms)):
+            pa = {p: dom[i] for p, dom, i in zip(parent_names, parent_doms, config)}
+            outcomes[config] = [(_eval_scalar(expr, pa, u), prob) for u, prob in pairs]
+        support[name] = tuple(sorted({x for outs in outcomes.values() for x, _ in outs}))
+        out_index = {x: i for i, x in enumerate(support[name])}
+        arr = np.zeros((*map(len, parent_doms), len(support[name])))
+        for config, outs in outcomes.items():
+            for x, prob in outs:
+                arr[config + (out_index[x],)] += prob
         cpts[name] = Cpt(child=name, parents=parent_names, values=arr)
     return DiscreteCgm(dag=g, domains=support, cpts=cpts)
 

@@ -23,7 +23,7 @@ import numpy as np
 from .data import Dataset
 from .errors import PreconditionError, UsageError
 from .graph import Cpdag, Dag, enumerate_dags
-from .kernels import ci_test, hsic_test, kernel_ridge_fit
+from .kernels import _check_perms, ci_test, hsic_test, kernel_ridge_fit
 from . import graph as graph_mod
 
 logger = logging.getLogger(__name__)
@@ -446,6 +446,7 @@ def anm_direction(
     undecided (both fitting, as in the linear-Gaussian exception, or
     neither fitting).
     """
+    _check_perms(cfg.perms)
     xv = data.column(x).astype(float)
     yv = data.column(y).astype(float)
     if len(xv) < MIN_ANM_SAMPLES:

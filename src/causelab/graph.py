@@ -51,41 +51,17 @@ class Dag:
 
     def __init__(self, nodes: Sequence[str], edges: Iterable[tuple] = ()):
         nodes = tuple(nodes)
-        if len(set(nodes)) != len(nodes):
-            raise UsageError(f"duplicate node names in {nodes!r}")
-        index = {name: i for i, name in enumerate(nodes)}
-        norm = set()
-        for u, v in edges:
-            if (isinstance(u, str) and u not in index) or (
-                isinstance(v, str) and v not in index
-            ):
-                raise UsageError(f"edge ({u!r}, {v!r}) references unknown node")
-            i = index[u] if isinstance(u, str) else int(u)
-            j = index[v] if isinstance(v, str) else int(v)
-            if not (0 <= i < len(nodes) and 0 <= j < len(nodes)):
-                raise UsageError(f"edge ({u!r}, {v!r}) references unknown node")
-            if i == j:
-                raise UsageError(f"self-loop at {nodes[i]!r}")
-            norm.add((i, j))
+        norm, pmask, cmask, order = _acyclic_structure(nodes, edges)
         object.__setattr__(self, "nodes", nodes)
         object.__setattr__(self, "edges", frozenset(norm))
-        n = len(nodes)
-        pmask = [0] * n
-        cmask = [0] * n
-        for i, j in norm:
-            pmask[j] |= 1 << i
-            cmask[i] |= 1 << j
         object.__setattr__(self, "_parent_masks", tuple(pmask))
         object.__setattr__(self, "_child_masks", tuple(cmask))
-        order = _kahn_order(pmask, cmask)
-        if order is None:
-            raise UsageError("graph contains a directed cycle")
         object.__setattr__(self, "_order", order)
-        desc = [1 << i for i in range(n)]
+        desc = [1 << i for i in range(len(nodes))]
         for i in reversed(order):
             for j in _bits(cmask[i]):
                 desc[i] |= desc[j]
-        anc = [1 << i for i in range(n)]
+        anc = [1 << i for i in range(len(nodes))]
         for j in order:
             for i in _bits(pmask[j]):
                 anc[j] |= anc[i]
@@ -158,7 +134,38 @@ class Cpdag:
         dir_pairs = {tuple(sorted(e)) for e in self.directed}
         if dir_pairs & set(und):
             raise UsageError("directed and undirected edge sets overlap")
-        Dag(self.nodes, self.directed)  # directed part must be acyclic
+        _acyclic_structure(tuple(self.nodes), self.directed)
+
+
+def _acyclic_structure(nodes: tuple[str, ...], edges: Iterable[tuple]) -> tuple:
+    """(parent, child) index pairs, parent and child masks and Kahn order of
+    the graph whose edges give node names or indices; UsageError on a
+    duplicate name, an unknown node, a self-loop or a cycle."""
+    if len(set(nodes)) != len(nodes):
+        raise UsageError(f"duplicate node names in {nodes!r}")
+    index = {name: i for i, name in enumerate(nodes)}
+    n = len(nodes)
+    norm = set()
+    pmask = [0] * n
+    cmask = [0] * n
+    for u, v in edges:
+        if (isinstance(u, str) and u not in index) or (
+            isinstance(v, str) and v not in index
+        ):
+            raise UsageError(f"edge ({u!r}, {v!r}) references unknown node")
+        i = index[u] if isinstance(u, str) else int(u)
+        j = index[v] if isinstance(v, str) else int(v)
+        if not (0 <= i < n and 0 <= j < n):
+            raise UsageError(f"edge ({u!r}, {v!r}) references unknown node")
+        if i == j:
+            raise UsageError(f"self-loop at {nodes[i]!r}")
+        norm.add((i, j))
+        pmask[j] |= 1 << i
+        cmask[i] |= 1 << j
+    order = _kahn_order(pmask, cmask)
+    if order is None:
+        raise UsageError("graph contains a directed cycle")
+    return norm, pmask, cmask, order
 
 
 def _kahn_order(

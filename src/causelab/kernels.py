@@ -163,9 +163,13 @@ def _permutation_pvalue(observed: float, perm_stats: np.ndarray) -> float:
     return float((1 + int((perm_stats >= observed).sum())) / (1 + b))
 
 
-def _run_permutations(stat_fn, perms: int, seed: int, n: int) -> np.ndarray:
+def _check_perms(perms: int) -> None:
+    """Callers run this before any Gram or fit, so a bad count fails fast."""
     if perms < 1:
         raise UsageError(f"perms must be >= 1, got {perms}")
+
+
+def _run_permutations(stat_fn, perms: int, seed: int, n: int) -> np.ndarray:
     rng = np.random.Generator(np.random.Philox(np.random.SeedSequence(seed)))
     index_sets = [rng.permutation(n) for _ in range(perms)]
     workers = max_threads()
@@ -204,6 +208,7 @@ def mmd(
     With k=None a Gaussian kernel with the pooled median-heuristic
     bandwidth is used, so the kernel is identical across permutations.
     """
+    _check_perms(perms)
     xs, ys = _as_matrix(xs), _as_matrix(ys)
     if xs.shape[1] != ys.shape[1]:
         raise UsageError("samples must share dimensionality")
@@ -261,13 +266,23 @@ class CiTestResult:
 MIN_HSIC_SAMPLES = 20
 
 
-def hsic_statistic(kx: Kernel, ky: Kernel, xs, ys) -> float:
-    """(1/m^2) trace(K H L H) with the centering matrix H."""
-    xs, ys = _as_matrix(xs), _as_matrix(ys)
+def _hsic_by_order(kx: Kernel, ky: Kernel, xs: np.ndarray, ys: np.ndarray):
+    """(1/m^2) trace(K H L H) with the centering matrix H, as a function of
+    the order in which the rows of ys are paired with those of xs."""
     K = gram(kx, xs)
     L = gram(ky, ys)
     Kc = K - K.mean(axis=0, keepdims=True) - K.mean(axis=1, keepdims=True) + K.mean()
-    return float((Kc * L).sum() / len(xs) ** 2)
+
+    def stat(order: np.ndarray) -> float:
+        return float((Kc * L[np.ix_(order, order)]).sum() / len(L) ** 2)
+
+    return stat
+
+
+def hsic_statistic(kx: Kernel, ky: Kernel, xs, ys) -> float:
+    """(1/m^2) trace(K H L H) with the centering matrix H."""
+    xs, ys = _as_matrix(xs), _as_matrix(ys)
+    return _hsic_by_order(kx, ky, xs, ys)(np.arange(len(xs)))
 
 
 def hsic_test(
@@ -279,6 +294,7 @@ def hsic_test(
     seed: int = 0,
 ) -> CiTestResult:
     """Paired-sample independence test; the second sample is permuted."""
+    _check_perms(perms)
     xs, ys = _as_matrix(xs), _as_matrix(ys)
     if len(xs) != len(ys):
         raise UsageError("paired samples must have equal length")
@@ -288,17 +304,9 @@ def hsic_test(
         kx = GaussianKernel(median_heuristic(xs))
     if ky is None:
         ky = GaussianKernel(median_heuristic(ys))
-    m = len(xs)
-    K = gram(kx, xs)
-    L = gram(ky, ys)
-    Kc = K - K.mean(axis=0, keepdims=True) - K.mean(axis=1, keepdims=True) + K.mean()
-
-    def stat(order: np.ndarray) -> float:
-        lp = L[np.ix_(order, order)]
-        return float((Kc * lp).sum() / m**2)
-
-    observed = float((Kc * L).sum() / m**2)
-    perm_stats = _run_permutations(stat, perms, seed, m)
+    stat = _hsic_by_order(kx, ky, xs, ys)
+    observed = stat(np.arange(len(xs)))
+    perm_stats = _run_permutations(stat, perms, seed, len(xs))
     return CiTestResult(
         method="hsic",
         statistic=observed,
@@ -371,6 +379,7 @@ def ci_test(
     if method == "partial-correlation":
         return _partial_correlation_test(xa, xb, data.matrix(zcols), len(zcols))
     if method == "kernel-residual":
+        _check_perms(perms)
         if zcols:
             zmat = data.matrix(zcols)
             ra = xa - kernel_ridge_fit(zmat, xa).predict(zmat)

@@ -13,7 +13,7 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
-from .cgm import cgm_from_scm, truncated_factorization
+from .cgm import cgm_from_scm, interventional_marginal
 from .data import Dataset
 from .errors import UsageError
 from .graph import dag_to_json
@@ -232,8 +232,8 @@ def make_frontdoor() -> Scenario:
     cgm = cgm_from_scm(scm)
     means = {}
     for tval in (0.0, 1.0):
-        f = truncated_factorization(cgm, {"T": tval}).marginal(["Y"]).values
-        means[tval] = float(f[1])  # Y binary: mean = p(Y=1)
+        p_y = interventional_marginal(cgm, "Y", {"T": tval})
+        means[tval] = float(p_y[1])  # Y binary: mean = p(Y=1)
     from .cgm import cgm_to_json
 
     return Scenario(

@@ -122,15 +122,21 @@ def cpdag_by_class_enumeration(g: Dag):
     return frozenset(directed), frozenset(undirected)
 
 
-def enumerate_joint_from_cpts(cgm):
-    """Joint table over full assignments, computed atom by atom."""
+def enumerate_joint_from_cpts(cgm, do=None):
+    """Joint table over full assignments, computed atom by atom; every
+    variable in ``do`` (name -> value) gets a point mass in place of its
+    conditional."""
     nodes = cgm.dag.nodes
     domains = [cgm.domains[v] for v in nodes]
+    do = do or {}
     table = {}
     for assignment in itertools.product(*domains):
         env = dict(zip(nodes, assignment))
         p = 1.0
         for v in nodes:
+            if v in do:
+                p *= 1.0 if env[v] == do[v] else 0.0
+                continue
             cpt = cgm.cpts[v]
             idx = tuple(
                 cgm.domains[pname].index(env[pname]) for pname in cpt.parents

@@ -1,7 +1,10 @@
 import itertools
+import tracemalloc
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from causelab.cgm import (
     Cpt,
@@ -457,3 +460,141 @@ class TestJson:
         m2 = cgm_from_json(text)
         assert cgm_to_json(m2) == text
         assert np.allclose(joint(m).values, joint(m2).values, atol=1e-15)
+
+
+def _oracle_marginal(m, keep, do=None):
+    """p(keep | do) summed atom by atom from the enumerated joint."""
+    nodes, table = enumerate_joint_from_cpts(m, do)
+    out = np.zeros(tuple(len(m.domains[v]) for v in keep))
+    for assignment, p in table.items():
+        env = dict(zip(nodes, assignment))
+        out[tuple(m.domains[v].index(env[v]) for v in keep)] += p
+    return out
+
+
+def _random_query_setup(seed):
+    """A CGM on 2-6 nodes with 1-3 values per variable, a random
+    intervention, and a rng for drawing queries; non-ancestors of a
+    query are common at this edge density."""
+    rng = np.random.default_rng(seed)
+    g = random_dag(int(rng.integers(2, 7)), rng, float(rng.uniform(0.2, 0.7)))
+    doms = {v: tuple(range(10, 10 + int(rng.integers(1, 4)))) for v in g.nodes}
+    m = random_cgm(g, rng, doms, concentration=float(rng.choice([0.3, 1.0])))
+    targets = [v for v in g.nodes if rng.random() < 0.3]
+    do = {v: doms[v][int(rng.integers(len(doms[v])))] for v in targets}
+    return m, do, rng
+
+
+def _pick(rng, names, k):
+    return [str(v) for v in rng.choice(names, size=k, replace=False)]
+
+
+class TestContractionAgainstEnumeration:
+    """Every query, contracted over ancestors only, against the atomwise joint."""
+
+    seeds = given(st.integers(0, 2**32 - 1))
+    examples = settings(max_examples=60, deadline=None)
+
+    @examples
+    @seeds
+    def test_joint_and_truncated_factorization(self, seed):
+        m, do, _ = _random_query_setup(seed)
+        nodes = list(m.dag.nodes)
+        assert np.abs(joint(m).values - _oracle_marginal(m, nodes)).max() < 1e-12
+        got = truncated_factorization(m, do).values
+        assert np.abs(got - _oracle_marginal(m, nodes, do)).max() < 1e-12
+
+    @examples
+    @seeds
+    def test_interventional_marginal(self, seed):
+        m, do, rng = _random_query_setup(seed)
+        target = _pick(rng, m.dag.nodes, 1)[0]
+        got = interventional_marginal(m, target, do)
+        assert np.abs(got - _oracle_marginal(m, [target], do)).max() < 1e-12
+
+    @examples
+    @seeds
+    def test_condition(self, seed):
+        m, _, rng = _random_query_setup(seed)
+        n = m.dag.n
+        query, *rest = _pick(rng, m.dag.nodes, int(rng.integers(1, n + 1)))
+        evidence = {v: m.domains[v][int(rng.integers(len(m.domains[v])))] for v in rest}
+        joint_q = _oracle_marginal(m, [query] + rest)
+        sliced = joint_q[(slice(None),) + tuple(m.domains[v].index(evidence[v]) for v in rest)]
+        got = condition(m, query, evidence)
+        assert np.abs(got - sliced / sliced.sum()).max() < 1e-12
+
+    @examples
+    @seeds
+    def test_adjustment_formula(self, seed):
+        m, _, rng = _random_query_setup(seed)
+        n = m.dag.n
+        t, y, *z = _pick(rng, m.dag.nodes, int(rng.integers(2, n + 1)))
+        z = sorted(z)
+        p = _oracle_marginal(m, [t] + z + [y])  # axes: t, *z, y
+        pz = p.sum(axis=(0, p.ndim - 1))
+        got = adjustment_formula(m, t, y, z)
+        for ti, tval in enumerate(m.domains[t]):
+            ptzy = p[ti]
+            cond = ptzy / ptzy.sum(axis=-1, keepdims=True)
+            want = (pz[..., None] * cond).reshape(-1, cond.shape[-1]).sum(axis=0)
+            assert np.abs(got[tval] - want).max() < 1e-12
+
+    @examples
+    @seeds
+    def test_cmi(self, seed):
+        m, _, rng = _random_query_setup(seed)
+        n = m.dag.n
+        a, b, *z = _pick(rng, m.dag.nodes, int(rng.integers(2, n + 1)))
+        pabz = _oracle_marginal(m, [a, b] + z).reshape(
+            len(m.domains[a]), len(m.domains[b]), -1
+        )
+        want = 0.0
+        for i, j, k in itertools.product(*map(range, pabz.shape)):
+            p = pabz[i, j, k]
+            if p > 0:
+                pz = pabz[:, :, k].sum()
+                want += p * np.log(p * pz / (pabz[i, :, k].sum() * pabz[:, j, k].sum()))
+        assert abs(cmi(m, a, b, z) - max(want, 0.0)) < 1e-12
+
+
+class TestAncestralLimit:
+    def test_sparse_model_answers_what_its_joint_cannot(self, rng):
+        nodes = [f"V{k}" for k in range(30)]
+        pairs = [(f"V{k}", f"V{k + 1}") for k in range(3, 29, 2)]
+        g = Dag(nodes, [("V0", "V1"), ("V1", "V2")] + pairs)
+        m = random_cgm(g, rng)
+        got = interventional_marginal(m, "V2", {"V0": 1})
+        assert np.allclose(got, m.cpts["V1"].values[1] @ m.cpts["V2"].values, atol=1e-15)
+        # the limit bounds the 2^3 ancestral states, not the 2^30 joint ones
+        assert np.allclose(interventional_marginal(m, "V2", {}, limit=8).sum(), 1.0)
+        with pytest.raises(UsageError, match="state space 8 exceeds limit 4"):
+            interventional_marginal(m, "V2", {}, limit=4)
+        tracemalloc.start()
+        try:
+            with pytest.raises(UsageError, match=f"state space {2**30} exceeds limit"):
+                joint(m)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert peak < 1 << 20
+
+    def test_more_ancestors_than_einsum_subscripts_is_a_usage_error(self):
+        nodes = [f"V{k}" for k in range(53)]
+        cpts = {
+            v: Cpt(v, tuple(nodes[k - 1 : k]), np.ones((1, 1) if k else (1,)))
+            for k, v in enumerate(nodes)
+        }
+        m = DiscreteCgm(
+            dag=Dag(nodes, list(zip(nodes, nodes[1:]))),
+            domains={v: (0,) for v in nodes},
+            cpts=cpts,
+        )
+        assert interventional_marginal(m, "V51", {}).tolist() == [1.0]
+        for query in (
+            lambda: interventional_marginal(m, "V52", {}),
+            lambda: condition(m, "V52", {}),
+            lambda: joint(m),
+        ):
+            with pytest.raises(UsageError, match="53 ancestral variables exceed 52"):
+                query()

@@ -188,6 +188,19 @@ class TestCpdag:
         with pytest.raises(UsageError):
             Cpdag(("A", "B"), frozenset({("A", "B")}), frozenset({("A", "B")}))
 
+    @pytest.mark.parametrize(
+        "nodes, directed, message",
+        [
+            (("A", "B", "C"), {("A", "B"), ("B", "C"), ("C", "A")}, "directed cycle"),
+            (("A", "B"), {("A", "A")}, "self-loop at 'A'"),
+            (("A", "B"), {("A", "Z")}, "references unknown node"),
+            (("A", "A"), set(), "duplicate node names"),
+        ],
+    )
+    def test_directed_part_must_be_a_dag(self, nodes, directed, message):
+        with pytest.raises(UsageError, match=message):
+            Cpdag(nodes, frozenset(directed), frozenset())
+
     @pytest.mark.parametrize("edge", [["A", "Z"], ["B", "B"]])
     def test_undirected_edge_must_join_two_known_nodes(self, edge):
         text = json.dumps({"nodes": ["A", "B"], "undirected_edges": [edge]})

@@ -7,6 +7,7 @@ from pathlib import Path
 import numpy as np
 import pytest
 
+from causelab import discovery, kernels
 from causelab.data import Dataset
 from causelab.errors import PreconditionError, UsageError
 from causelab.kernels import (
@@ -233,6 +234,36 @@ def chain_dataset(n, seed):
     y = 1.2 * x + rng.normal(size=n)
     z = -0.9 * y + rng.normal(size=n)
     return Dataset.from_columns({"X": x, "Y": y, "Z": z})
+
+
+def _perms_zero_calls():
+    rng = np.random.default_rng(3)
+    x, y, z = rng.normal(size=(3, 200))
+    data = Dataset.from_columns({"A": x, "B": y + x, "C": z})
+    return {
+        "hsic_test": lambda: hsic_test(None, None, x, y, perms=0),
+        "mmd": lambda: mmd(None, x, y, perms=0),
+        "ci_test": lambda: ci_test("kernel-residual", data, "A", "B", ("C",), perms=0),
+        "anm_direction": lambda: discovery.anm_direction(
+            data, "A", "B", discovery.DiscoveryConfig(perms=0)
+        ),
+    }
+
+
+@pytest.mark.parametrize("name", sorted(_perms_zero_calls()))
+def test_perms_checked_before_any_gram_or_fit(name, monkeypatch):
+    def refuse(*args, **kwargs):
+        raise AssertionError("Gram or fit built before the perms check")
+
+    for module, attr in [
+        (kernels, "gram"),
+        (kernels, "median_heuristic"),
+        (kernels, "kernel_ridge_fit"),
+        (discovery, "kernel_ridge_fit"),  # bound by name at import
+    ]:
+        monkeypatch.setattr(module, attr, refuse)
+    with pytest.raises(UsageError, match="perms must be >= 1, got 0"):
+        _perms_zero_calls()[name]()
 
 
 class TestCiTest:
