@@ -268,6 +268,8 @@ def adjustment_formula(
     z stratum never receives some treatment value.
     """
     z = sorted(set(z))
+    if t == y:
+        raise UsageError("treatment and outcome must differ")
     if t in z or y in z:
         raise UsageError("adjustment set must exclude treatment and outcome")
     marg = _contract(m, [t] + z + [y], {}, limit)  # axes: t, *z, y

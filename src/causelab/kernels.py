@@ -2,17 +2,18 @@
 permutation tests, conditional-independence tests, and the VC bound.
 
 Permutation p-values use (1 + #{perm >= observed}) / (1 + B), which is
-never zero and is super-uniform under the null. Permutation indices are
-drawn up front from the seed; the statistics can be evaluated in any
-order (optionally across threads, capped by CAUSELAB_THREADS) and are
-reduced deterministically.
+never zero and is super-uniform under the null. Permutation index sets
+are drawn from the seed one block at a time, always in the same order,
+and each block's statistics are evaluated together, so a p-value depends
+only on the seed. HSIC evaluates its permuted statistics from pivoted
+incomplete Cholesky factors of its two Grams (Bach & Jordan 2002;
+Gretton et al. 2007) when their ranks are low, and from the dense Grams
+otherwise.
 """
 
 from __future__ import annotations
 
 import math
-import os
-from concurrent.futures import ThreadPoolExecutor
 from dataclasses import dataclass
 
 import numpy as np
@@ -23,16 +24,9 @@ from .errors import PreconditionError, UsageError
 DEFAULT_PERMUTATIONS = 500
 DEFAULT_RIDGE_SCALE = 1e-3  # regularizer = scale * m
 GRAM_SIZE_CAP = 5000  # dense O(m^2) Grams only; documented practical cap
-
-
-def max_threads() -> int:
-    """Worker cap for permutation sweeps: CAUSELAB_THREADS (default 1),
-    clamped to [1, cpu count]."""
-    try:
-        wanted = int(os.environ.get("CAUSELAB_THREADS", "1"))
-    except ValueError:
-        return 1
-    return max(1, min(wanted, os.cpu_count() or 1))
+# working set of one block of permutations or distance rows; blocks this
+# small stay in cache and reuse heap memory, and measured faster than 8 MiB
+BLOCK_BYTES = 1 << 18
 
 
 def _sq_distances(xs: np.ndarray, ys: np.ndarray) -> np.ndarray:
@@ -60,6 +54,8 @@ def _sq_distances(xs: np.ndarray, ys: np.ndarray) -> np.ndarray:
 
 
 class Kernel:
+    """Kernels must be positive semidefinite: HSIC factors their Grams."""
+
     __slots__ = ()
 
 
@@ -79,7 +75,7 @@ class GaussianKernel(Kernel):
 
 @dataclass(frozen=True)
 class PolynomialKernel(Kernel):
-    """k(x, y) = (<x, y> + offset)^degree."""
+    """k(x, y) = (<x, y> + offset)^degree, PSD for offset >= 0."""
 
     degree: int
     offset: float = 1.0
@@ -87,6 +83,8 @@ class PolynomialKernel(Kernel):
     def __post_init__(self):
         if self.degree < 1:
             raise UsageError("degree must be >= 1")
+        if not self.offset >= 0:
+            raise UsageError("offset must be >= 0")
 
     def __call__(self, xs, ys):
         return (np.atleast_2d(xs) @ np.atleast_2d(ys).T + self.offset) ** self.degree
@@ -128,13 +126,15 @@ def median_heuristic(xs, ys=None) -> float:
     xs = _as_matrix(xs)
     pool = xs if ys is None else np.vstack([xs, _as_matrix(ys)])
     m = len(pool)
-    # the strict upper triangle in row-major order, one row at a time, so
-    # no m x m matrix is ever held
+    # the strict upper triangle in row-major order, a block of rows at a
+    # time, so no m x m matrix is ever held
     upper = np.empty(m * (m - 1) // 2)
+    step = max(1, BLOCK_BYTES // (8 * m))
     pos = 0
-    for i in range(m - 1):
-        later = np.sqrt(_sq_distances(pool[i : i + 1], pool[i + 1 :])[0])
-        upper[pos : pos + len(later)] = later
+    for i in range(0, m - 1, step):
+        block = _sq_distances(pool[i : min(i + step, m - 1)], pool[i + 1 :])
+        later = block[np.arange(block.shape[1]) >= np.arange(len(block))[:, None]]
+        upper[pos : pos + len(later)] = np.sqrt(later)
         pos += len(later)
     positive = upper[upper > 0]
     if positive.size == 0:
@@ -169,16 +169,18 @@ def _check_perms(perms: int) -> None:
         raise UsageError(f"perms must be >= 1, got {perms}")
 
 
-def _run_permutations(stat_fn, perms: int, seed: int, n: int) -> np.ndarray:
+def _run_permutations(
+    block_stats, perms: int, seed: int, n: int, row_bytes: int
+) -> np.ndarray:
+    """block_stats of seeded permutations of range(n), drawn and evaluated
+    in (b, n) blocks of about BLOCK_BYTES / row_bytes rows."""
     rng = np.random.Generator(np.random.Philox(np.random.SeedSequence(seed)))
-    index_sets = [rng.permutation(n) for _ in range(perms)]
-    workers = max_threads()
-    if workers > 1:
-        with ThreadPoolExecutor(max_workers=workers) as pool:
-            stats = list(pool.map(stat_fn, index_sets))
-    else:
-        stats = [stat_fn(idx) for idx in index_sets]
-    return np.asarray(stats)
+    per_block = max(1, BLOCK_BYTES // row_bytes)
+    stats = []
+    for start in range(0, perms, per_block):
+        block = [rng.permutation(n) for _ in range(min(per_block, perms - start))]
+        stats.append(block_stats(np.array(block)))
+    return np.concatenate(stats)
 
 
 # ---------------------------------------------------------------------------
@@ -241,7 +243,9 @@ def mmd(
     ) + float(
         (kyy.sum() - np.trace(kyy)) / (n * (n - 1)) if n > 1 else 0.0
     ) - 2.0 * float(kxy.mean())
-    perm_stats = _run_permutations(stat, perms, seed, m + n)
+    perm_stats = _run_permutations(
+        lambda block: [stat(order) for order in block], perms, seed, m + n, 8 * (m + n)
+    )
     return EmbeddingDistance(
         statistic=max(observed, 0.0),
         unbiased=unbiased,
@@ -264,25 +268,78 @@ class CiTestResult:
 
 
 MIN_HSIC_SAMPLES = 20
+CHOLESKY_TOL = 1e-12  # pivoting stops at this fraction of the largest diagonal
+FACTOR_RANK_RATIO = 64  # factors of rank <= sqrt(ratio * m) beat the dense form
 
 
-def _hsic_by_order(kx: Kernel, ky: Kernel, xs: np.ndarray, ys: np.ndarray):
-    """(1/m^2) trace(K H L H) with the centering matrix H, as a function of
-    the order in which the rows of ys are paired with those of xs."""
-    K = gram(kx, xs)
-    L = gram(ky, ys)
-    Kc = K - K.mean(axis=0, keepdims=True) - K.mean(axis=1, keepdims=True) + K.mean()
+def _centered(K: np.ndarray) -> np.ndarray:
+    """H K H with the centering matrix H."""
+    return K - K.mean(axis=0, keepdims=True) - K.mean(axis=1, keepdims=True) + K.mean()
 
-    def stat(order: np.ndarray) -> float:
-        return float((Kc * L[np.ix_(order, order)]).sum() / len(L) ** 2)
 
-    return stat
+def _hsic_dense(K: np.ndarray, L: np.ndarray) -> float:
+    """(1/m^2) trace(K H L H) with the centering matrix H."""
+    return float((_centered(K) * L).sum() / len(L) ** 2)
 
 
 def hsic_statistic(kx: Kernel, ky: Kernel, xs, ys) -> float:
     """(1/m^2) trace(K H L H) with the centering matrix H."""
     xs, ys = _as_matrix(xs), _as_matrix(ys)
-    return _hsic_by_order(kx, ky, xs, ys)(np.arange(len(xs)))
+    return _hsic_dense(gram(kx, xs), gram(ky, ys))
+
+
+def _pivoted_cholesky(g: np.ndarray, max_rank: int) -> np.ndarray | None:
+    """R with R^T R ~ g by pivoted incomplete Cholesky, or None past
+    max_rank rows. It stops at a largest residual diagonal of CHOLESKY_TOL
+    times g's, which bounds every residual entry of a PSD g. Entrywise
+    updates, not BLAS, give equal columns of g bitwise-equal columns of R.
+    """
+    residual = np.diag(g).copy()
+    stop = CHOLESKY_TOL * residual.max()
+    rows = []
+    while True:
+        pivot = int(np.argmax(residual))
+        if residual[pivot] <= stop:
+            return np.array(rows).reshape(len(rows), len(g))
+        if len(rows) >= min(max_rank, len(g)):
+            return None
+        row = g[pivot].copy()
+        for r in rows:
+            row -= r * r[pivot]
+        row /= math.sqrt(residual[pivot])
+        residual -= row * row
+        rows.append(row)
+
+
+def _hsic_permuted(K: np.ndarray, L: np.ndarray, perms: int, seed: int):
+    """HSIC at the identity order and at seeded permutations of L's rows,
+    all by one formula so that exact ties stay ties: ||A G[:, p]^T||_F^2 / m^2
+    for K ~ F^T F, L ~ G^T G and A = F H, one matmul per block; dense when
+    a factor's rank exceeds sqrt(FACTOR_RANK_RATIO * m), where that is slower.
+    """
+    m = len(L)
+    cap = math.isqrt(FACTOR_RANK_RATIO * m)
+    F = _pivoted_cholesky(K, cap)
+    G = None if F is None else _pivoted_cholesky(L, cap)
+    if G is None:
+        Kc = _centered(K)
+
+        def block_stats(block):
+            return np.array([(Kc * L[np.ix_(p, p)]).sum() for p in block]) / m**2
+
+        row_bytes = 8 * m * m
+    else:
+        A = F - F[:, :1]  # a constant column, whose F rows are constant, centres to 0
+        A -= A.mean(axis=1, keepdims=True)
+        Gt = np.ascontiguousarray(G.T)
+
+        def block_stats(block):
+            prod = np.square(np.matmul(A, Gt[block]))
+            return prod.reshape(len(block), -1).sum(axis=1) / m**2
+
+        row_bytes = 8 * m * (Gt.shape[1] + 1)
+    observed = float(block_stats(np.arange(m)[None])[0])
+    return observed, _run_permutations(block_stats, perms, seed, m, row_bytes)
 
 
 def hsic_test(
@@ -304,12 +361,11 @@ def hsic_test(
         kx = GaussianKernel(median_heuristic(xs))
     if ky is None:
         ky = GaussianKernel(median_heuristic(ys))
-    stat = _hsic_by_order(kx, ky, xs, ys)
-    observed = stat(np.arange(len(xs)))
-    perm_stats = _run_permutations(stat, perms, seed, len(xs))
+    K, L = gram(kx, xs), gram(ky, ys)
+    observed, perm_stats = _hsic_permuted(K, L, perms, seed)
     return CiTestResult(
         method="hsic",
-        statistic=observed,
+        statistic=_hsic_dense(K, L),
         p_value=_permutation_pvalue(observed, perm_stats),
         cond_set_size=0,
     )

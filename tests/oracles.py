@@ -418,3 +418,24 @@ def median_distance_dense(xs, ys=None) -> float:
     if positive.size == 0:
         return 1.0
     return float(np.median(positive))
+
+
+def hsic_by_order(K, L):
+    """(1/m^2) trace(K H L H) with the centering matrix H, as a function of
+    the order in which the rows of L are paired with those of K: one
+    permuted m x m copy of L per order."""
+    Kc = K - K.mean(axis=0, keepdims=True) - K.mean(axis=1, keepdims=True) + K.mean()
+
+    def stat(order) -> float:
+        return float((Kc * L[np.ix_(order, order)]).sum() / len(L) ** 2)
+
+    return stat
+
+
+def hsic_permuted_dense(K, L, perms: int, seed: int):
+    """The identity-order statistic and the statistics at `perms` index
+    sets drawn one at a time from the seeded Philox stream."""
+    stat = hsic_by_order(K, L)
+    rng = np.random.Generator(np.random.Philox(np.random.SeedSequence(seed)))
+    m = len(L)
+    return stat(np.arange(m)), np.array([stat(rng.permutation(m)) for _ in range(perms)])

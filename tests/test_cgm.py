@@ -224,6 +224,11 @@ class TestAdjustmentFormula:
         out = adjustment_formula(m, "T", "Y", set())
         assert np.allclose(out[1], condition(m, "Y", {"T": 1}), atol=1e-12)
 
+    def test_treatment_equal_to_outcome_is_a_usage_error(self, rng):
+        m = random_cgm(Dag(["T", "Y"], [("T", "Y")]), rng)
+        with pytest.raises(UsageError, match="treatment and outcome must differ"):
+            adjustment_formula(m, "T", "T", [])
+
     def test_overlap_violation_reports_stratum(self):
         dag = Dag(["Z", "T", "Y"], [("Z", "T"), ("Z", "Y"), ("T", "Y")])
         cpts = {

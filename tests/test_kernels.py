@@ -2,6 +2,7 @@ import math
 import os
 import subprocess
 import sys
+import tracemalloc
 from pathlib import Path
 
 import numpy as np
@@ -20,7 +21,6 @@ from causelab.kernels import (
     hsic_statistic,
     hsic_test,
     kernel_ridge_fit,
-    max_threads,
     mean_map_apply,
     median_heuristic,
     mmd,
@@ -57,6 +57,12 @@ class TestGram:
     def test_empty_rejected(self):
         with pytest.raises(UsageError):
             gram(LinearKernel(), np.empty((0, 2)))
+
+    def test_polynomial_kernel_rejects_negative_offset(self):
+        # (<x, y> + c)^d is PSD only for c >= 0
+        with pytest.raises(UsageError, match="offset must be >= 0"):
+            PolynomialKernel(2, -3.0)
+        assert PolynomialKernel(2, 0.0).offset == 0.0
 
 
 class TestMedianHeuristic:
@@ -182,23 +188,26 @@ class TestHsic:
         b = hsic_test(None, None, x, y, perms=99, seed=7)
         assert a == b
 
+    def test_permutations_never_copy_a_gram(self, rng):
+        m = 1500
+        x = rng.normal(size=m)
+        y = x + rng.normal(size=m)
+        K = gram(GaussianKernel(median_heuristic(x)), x)
+        L = gram(GaussianKernel(median_heuristic(y)), y)
+        tracemalloc.start()
+        try:
+            kernels._hsic_permuted(K, L, 100, 0)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert peak < 8 * m * m
+
     def test_schedule_independent_under_thread_cap(self, rng, monkeypatch):
         x, y = rng.normal(size=60), rng.normal(size=60)
         base = hsic_test(None, None, x, y, perms=99, seed=7)
         monkeypatch.setenv("CAUSELAB_THREADS", "4")
         threaded = hsic_test(None, None, x, y, perms=99, seed=7)
         assert threaded == base
-
-
-class TestMaxThreads:
-    def test_clamped_to_cpu_count(self, monkeypatch):
-        monkeypatch.setenv("CAUSELAB_THREADS", "1000000")
-        assert max_threads() == (os.cpu_count() or 1)
-
-    @pytest.mark.parametrize("value", ["0", "-3", "many"])
-    def test_at_least_one(self, monkeypatch, value):
-        monkeypatch.setenv("CAUSELAB_THREADS", value)
-        assert max_threads() == 1
 
 
 def test_gaussian_kernel_without_coordinates_is_one():

@@ -33,6 +33,8 @@ from causelab.kernels import (
     GaussianKernel,
     LinearKernel,
     PolynomialKernel,
+    _hsic_permuted,
+    _pivoted_cholesky,
     _sq_distances,
     gram,
     median_heuristic,
@@ -45,6 +47,7 @@ from oracles import (
     ancestors_by_parent_bfs,
     directed_paths,
     dsep_by_paths,
+    hsic_permuted_dense,
     median_distance_dense,
     meek_closure_by_tuple_scans,
     pc_skeleton_by_seen_tuples,
@@ -281,6 +284,101 @@ def test_median_heuristic_matches_dense_bitwise(seed, m, d, ties, pooled):
     ys = rng.normal(size=(int(rng.integers(1, 200)), d)) if pooled else None
     fast = median_heuristic(xs, ys)
     assert np.float64(fast).tobytes() == np.float64(median_distance_dense(xs, ys)).tobytes()
+
+
+def _kernel_named(name, xs):
+    return {
+        "gaussian": GaussianKernel(median_heuristic(xs)),
+        # high rank, and not near the identity, whose HSIC is the same at
+        # every permutation up to rounding
+        "narrow": GaussianKernel(0.05),
+        "linear": LinearKernel(),
+        "poly2": PolynomialKernel(2),
+        "poly3": PolynomialKernel(3, 0.5),
+    }[name]
+
+
+KERNEL_NAMES = ["gaussian", "narrow", "linear", "poly2", "poly3"]
+
+
+@st.composite
+def hsic_samples(draw):
+    """Paired samples with continuous, rounded (tied), constant or
+    duplicated columns. Ties are put on one side only: rounding both
+    sides makes distinct pairings with equal contingency tables, whose
+    statistics are equal in exact arithmetic but in neither form bitwise."""
+    rng = np.random.default_rng(draw(st.integers(0, 2**32 - 1)))
+    m = draw(st.integers(20, 300))
+    xs = rng.normal(size=(m, draw(st.integers(1, 2))))
+    ys = rng.uniform(-1, 1) * xs[:, :1] ** 2 + rng.normal(size=(m, 1))
+    shape = draw(st.sampled_from(["continuous", "rounded-x", "rounded-y", "constant-x",
+                                  "constant-y", "duplicated"]))
+    if shape == "rounded-x":
+        xs = np.round(xs)
+    elif shape == "rounded-y":
+        ys = np.round(ys)
+    elif shape == "constant-x":
+        # a dyadic value keeps the dense dual's centring exact as well
+        xs = np.full_like(xs, draw(st.sampled_from([0.0, 2.0, -1.5])))
+    elif shape == "constant-y":
+        ys = np.full_like(ys, rng.normal())
+    elif shape == "duplicated":
+        rows = rng.integers(0, int(rng.integers(2, m)), size=m)
+        xs, ys = xs[rows], ys[rows]
+    return xs, ys, draw(st.sampled_from(KERNEL_NAMES)), draw(st.sampled_from(KERNEL_NAMES))
+
+
+@settings(max_examples=120, deadline=None)
+@given(hsic_samples(), st.integers(1, 60), st.integers(0, 2**32 - 1))
+def test_hsic_permuted_statistics_match_dense(sample, perms, seed):
+    xs, ys, kx, ky = sample
+    K, L = gram(_kernel_named(kx, xs), xs), gram(_kernel_named(ky, ys), ys)
+    observed, stats = _hsic_permuted(K, L, perms, seed)
+    dense_observed, dense_stats = hsic_permuted_dense(K, L, perms, seed)
+    everything = np.append(dense_stats, dense_observed)
+    # a floor on the scale for the rounding-noise statistics of constant columns
+    scale = max(np.abs(everything).max(), np.abs(K).max() * np.abs(L).max() * 1e-6)
+    assert abs(observed - dense_observed) <= 1e-9 * scale
+    assert np.abs(stats - dense_stats).max() <= 1e-9 * scale
+    assert (stats >= observed).sum() == (dense_stats >= dense_observed).sum()
+
+
+@settings(max_examples=60, deadline=None)
+@given(
+    st.integers(0, 2**32 - 1),
+    st.integers(1, 120),
+    st.integers(1, 3),
+    st.sampled_from(KERNEL_NAMES),
+    st.booleans(),
+)
+def test_pivoted_cholesky_reproduces_gram(seed, m, d, name, duplicated):
+    rng = np.random.default_rng(seed)
+    xs = rng.normal(size=(m, d))
+    if duplicated:
+        xs = xs[rng.integers(0, max(1, m // 3), size=m)]
+    g = gram(_kernel_named(name, xs), xs)
+    rows = _pivoted_cholesky(g, m)
+    distinct = np.unique(xs, axis=0)
+    assert len(rows) <= len(distinct)
+    # the stopping bound, plus the rounding of forming R^T R
+    bound = (1e-12 + 4 * m * np.finfo(float).eps) * np.diag(g).max()
+    assert np.abs(rows.T @ rows - g).max() <= bound
+    # bitwise-equal Gram columns get bitwise-equal factor columns
+    _, group = np.unique(g, axis=1, return_inverse=True)
+    for k in range(group.max() + 1):
+        same = rows[:, group.ravel() == k]
+        assert (same == same[:, :1]).all()
+
+
+def test_high_rank_grams_take_the_dense_form(rng):
+    xs = rng.normal(size=(200, 2))
+    K = gram(GaussianKernel(0.01), xs)
+    assert _pivoted_cholesky(K, 200) is not None
+    assert _pivoted_cholesky(K, 113) is None  # isqrt(FACTOR_RANK_RATIO * 200)
+    L = gram(LinearKernel(), rng.normal(size=(200, 1)))
+    observed, stats = _hsic_permuted(K, L, 30, 5)
+    dense_observed, dense_stats = hsic_permuted_dense(K, L, 30, 5)
+    assert observed == dense_observed and stats.tolist() == dense_stats.tolist()
 
 
 @st.composite
