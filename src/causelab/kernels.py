@@ -7,8 +7,8 @@ are drawn from the seed one block at a time, always in the same order,
 and each block's statistics are evaluated together, so a p-value depends
 only on the seed. HSIC evaluates its permuted statistics from pivoted
 incomplete Cholesky factors of its two Grams (Bach & Jordan 2002;
-Gretton et al. 2007) when their ranks are low, and from the dense Grams
-otherwise.
+Gretton et al. 2007), and counts those within rounding of the observed
+one as ties.
 """
 
 from __future__ import annotations
@@ -269,17 +269,16 @@ class CiTestResult:
 
 MIN_HSIC_SAMPLES = 20
 CHOLESKY_TOL = 1e-12  # pivoting stops at this fraction of the largest diagonal
-FACTOR_RANK_RATIO = 64  # factors of rank <= sqrt(ratio * m) beat the dense form
-
-
-def _centered(K: np.ndarray) -> np.ndarray:
-    """H K H with the centering matrix H."""
-    return K - K.mean(axis=0, keepdims=True) - K.mean(axis=1, keepdims=True) + K.mean()
+# permuted HSIC statistics this fraction of their bound from the observed one
+# are ties: above their rounding error, and below the gap between two 2 x 2
+# contingency tables at GRAM_SIZE_CAP rows
+TIE_RTOL = 1e-11
 
 
 def _hsic_dense(K: np.ndarray, L: np.ndarray) -> float:
     """(1/m^2) trace(K H L H) with the centering matrix H."""
-    return float((_centered(K) * L).sum() / len(L) ** 2)
+    Kc = K - K.mean(axis=0, keepdims=True) - K.mean(axis=1, keepdims=True) + K.mean()
+    return float((Kc * L).sum() / len(L) ** 2)
 
 
 def hsic_statistic(kx: Kernel, ky: Kernel, xs, ys) -> float:
@@ -288,58 +287,51 @@ def hsic_statistic(kx: Kernel, ky: Kernel, xs, ys) -> float:
     return _hsic_dense(gram(kx, xs), gram(ky, ys))
 
 
-def _pivoted_cholesky(g: np.ndarray, max_rank: int) -> np.ndarray | None:
-    """R with R^T R ~ g by pivoted incomplete Cholesky, or None past
-    max_rank rows. It stops at a largest residual diagonal of CHOLESKY_TOL
-    times g's, which bounds every residual entry of a PSD g. Entrywise
-    updates, not BLAS, give equal columns of g bitwise-equal columns of R.
+def _pivoted_cholesky(g: np.ndarray) -> np.ndarray:
+    """R with R^T R ~ g by pivoted incomplete Cholesky. It stops at a
+    largest residual diagonal of CHOLESKY_TOL times g's, which bounds every
+    residual entry of a PSD g. Entrywise updates, not BLAS, give equal
+    columns of g bitwise-equal columns of R.
     """
     residual = np.diag(g).copy()
     stop = CHOLESKY_TOL * residual.max()
     rows = []
-    while True:
+    for _ in range(len(g)):
         pivot = int(np.argmax(residual))
         if residual[pivot] <= stop:
-            return np.array(rows).reshape(len(rows), len(g))
-        if len(rows) >= min(max_rank, len(g)):
-            return None
+            break
         row = g[pivot].copy()
         for r in rows:
             row -= r * r[pivot]
         row /= math.sqrt(residual[pivot])
         residual -= row * row
         rows.append(row)
+    return np.array(rows).reshape(len(rows), len(g))
 
 
 def _hsic_permuted(K: np.ndarray, L: np.ndarray, perms: int, seed: int):
     """HSIC at the identity order and at seeded permutations of L's rows,
-    all by one formula so that exact ties stay ties: ||A G[:, p]^T||_F^2 / m^2
-    for K ~ F^T F, L ~ G^T G and A = F H, one matmul per block; dense when
-    a factor's rank exceeds sqrt(FACTOR_RANK_RATIO * m), where that is slower.
+    all by one formula, ||A B[:, p]^T||_F^2 / m^2 for K ~ F^T F, L ~ G^T G,
+    A = F H and B = G H, with one matmul per block of permutations; and
+    the slack within which two of them are ties. They are ties in exact
+    arithmetic when a sample is constant, or when both are discrete and a
+    permutation keeps their contingency table.
     """
     m = len(L)
-    cap = math.isqrt(FACTOR_RANK_RATIO * m)
-    F = _pivoted_cholesky(K, cap)
-    G = None if F is None else _pivoted_cholesky(L, cap)
-    if G is None:
-        Kc = _centered(K)
+    A, B = _pivoted_cholesky(K), _pivoted_cholesky(L)
+    for R in (A, B):
+        R -= R.mean(axis=1, keepdims=True)
+    Bt = np.ascontiguousarray(B.T)
 
-        def block_stats(block):
-            return np.array([(Kc * L[np.ix_(p, p)]).sum() for p in block]) / m**2
+    def block_stats(block):
+        prod = np.square(np.matmul(A, Bt[block]))
+        return prod.reshape(len(block), -1).sum(axis=1) / m**2
 
-        row_bytes = 8 * m * m
-    else:
-        A = F - F[:, :1]  # a constant column, whose F rows are constant, centres to 0
-        A -= A.mean(axis=1, keepdims=True)
-        Gt = np.ascontiguousarray(G.T)
-
-        def block_stats(block):
-            prod = np.square(np.matmul(A, Gt[block]))
-            return prod.reshape(len(block), -1).sum(axis=1) / m**2
-
-        row_bytes = 8 * m * (Gt.shape[1] + 1)
     observed = float(block_stats(np.arange(m)[None])[0])
-    return observed, _run_permutations(block_stats, perms, seed, m, row_bytes)
+    # every statistic is at most ||A||_F^2 ||B||_F^2 / m^2
+    slack = TIE_RTOL * float(np.square(A).sum() * np.square(B).sum()) / m**2
+    row_bytes = 8 * m * (Bt.shape[1] + 1)
+    return observed, slack, _run_permutations(block_stats, perms, seed, m, row_bytes)
 
 
 def hsic_test(
@@ -362,11 +354,11 @@ def hsic_test(
     if ky is None:
         ky = GaussianKernel(median_heuristic(ys))
     K, L = gram(kx, xs), gram(ky, ys)
-    observed, perm_stats = _hsic_permuted(K, L, perms, seed)
+    observed, slack, perm_stats = _hsic_permuted(K, L, perms, seed)
     return CiTestResult(
         method="hsic",
         statistic=_hsic_dense(K, L),
-        p_value=_permutation_pvalue(observed, perm_stats),
+        p_value=_permutation_pvalue(observed - slack, perm_stats),
         cond_set_size=0,
     )
 

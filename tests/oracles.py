@@ -432,10 +432,34 @@ def hsic_by_order(K, L):
     return stat
 
 
-def hsic_permuted_dense(K, L, perms: int, seed: int):
-    """The identity-order statistic and the statistics at `perms` index
-    sets drawn one at a time from the seeded Philox stream."""
-    stat = hsic_by_order(K, L)
+def permutations_by_seed(perms: int, seed: int, m: int) -> list:
+    """`perms` index sets of range(m), drawn one at a time from the seeded
+    Philox stream."""
     rng = np.random.Generator(np.random.Philox(np.random.SeedSequence(seed)))
-    m = len(L)
-    return stat(np.arange(m)), np.array([stat(rng.permutation(m)) for _ in range(perms)])
+    return [rng.permutation(m) for _ in range(perms)]
+
+
+def hsic_permuted_dense(K, L, perms: int, seed: int):
+    """The identity-order statistic and the statistics at `perms` seeded
+    index sets."""
+    stat = hsic_by_order(K, L)
+    return stat(np.arange(len(L))), np.array(
+        [stat(p) for p in permutations_by_seed(perms, seed, len(L))]
+    )
+
+
+def hsic_pvalue_two_valued(x_bits, y_bits, perms: int, seed: int) -> float:
+    """The tie-counting HSIC permutation p-value for two samples that each
+    take two values, given as 0/1 indicators. Every kernel's HSIC is then
+    c (m n11 - r1 c1)^2 for a constant c >= 0, with n11 the count of rows
+    where both indicators are 1 and r1, c1 the counts of each, so the
+    comparison is exact in integers. c = 0 (a constant sample) ties all."""
+    x, y = np.asarray(x_bits, dtype=int), np.asarray(y_bits, dtype=int)
+    m = len(x)
+    r1c1 = int(x.sum()) * int(y.sum())
+    observed = abs(m * int(x @ y) - r1c1)
+    hits = sum(
+        abs(m * int(x @ y[p]) - r1c1) >= observed
+        for p in permutations_by_seed(perms, seed, m)
+    )
+    return (1 + hits) / (1 + perms)

@@ -166,6 +166,19 @@ class TestHsic:
             hits += res.p_value < 0.01
         assert hits >= 9
 
+    def test_calibrated_on_independent_binary_columns(self):
+        # contingency-table-preserving permutations tie the observed
+        # statistic; counting them keeps the test super-uniform
+        p = []
+        for t in range(300):
+            rng = np.random.default_rng(900 + t)
+            m = int(rng.integers(20, 61))
+            x, y = rng.integers(0, 2, size=(2, m)).astype(float)
+            p.append(hsic_test(None, None, x, y, perms=99, seed=t).p_value)
+        p = np.array(p)
+        for alpha in (0.05, 0.1, 0.25, 0.5):
+            assert (p <= alpha).mean() <= alpha + 3 * math.sqrt(alpha / len(p))
+
     def test_statistic_invariant_under_joint_shuffle(self, rng):
         x = rng.normal(size=80)
         y = x + rng.normal(size=80)
