@@ -3,31 +3,42 @@
 Columns are float64 arrays tagged with a kind: "real", "binary"
 (values in {0,1}) or "categorical" (small set of integral codes).
 Missing and infinite values are not supported.
+
+CSV files are written and read a block of rows at a time, and the
+writer formats each column of a block as a whole, so neither direction
+holds the file as per-row lists or per-cell strings. A read block that is not plain (a carriage
+return, a wrong comma count, or a cell float() rejects, such as a
+quoted or empty one) hands the rest of the file to csv.reader, which
+gives the cells, values and error messages it always gave.
 """
 
 from __future__ import annotations
 
 import csv
 import io
+import itertools
 import os
 import tempfile
 from dataclasses import dataclass, field
-from typing import Iterable, Mapping, Sequence
+from typing import Iterable, Iterator, Mapping, Sequence
 
 import numpy as np
 
 from .errors import UsageError
 
 _CATEGORICAL_MAX_LEVELS = 20
+_BLOCK_ROWS = 8192  # rows formatted per write block, and parsed per csv.reader chunk
+_READ_HINT = 1 << 16  # characters of whole lines per read block (readlines hint)
 
 
-def write_atomic(path: str | os.PathLike, text: str) -> None:
-    """Write UTF-8 text through a temporary file renamed over path."""
+def write_atomic(path: str | os.PathLike, text: str | Iterable[str]) -> None:
+    """Write UTF-8 text, or its pieces in order, through a temporary file
+    renamed over path."""
     directory = os.path.dirname(os.fspath(path)) or "."
     fd, tmp = tempfile.mkstemp(dir=directory, suffix=".tmp")
     try:
         with os.fdopen(fd, "w", encoding="utf-8", newline="") as fh:
-            fh.write(text)
+            fh.writelines([text] if isinstance(text, str) else text)
         os.replace(tmp, path)
     except BaseException:
         if os.path.exists(tmp):
@@ -60,6 +71,8 @@ class Dataset:
                 raise UsageError(f"column {name!r} contains missing or infinite values")
             if self.kinds[name] == "binary" and not np.all(np.isin(arr, (0.0, 1.0))):
                 raise UsageError(f"binary column {name!r} has values outside {{0,1}}")
+            if self.kinds[name] == "categorical" and not np.all(arr == np.round(arr)):
+                raise UsageError(f"categorical column {name!r} has non-integral values")
             arr.setflags(write=False)
 
     @classmethod
@@ -101,50 +114,105 @@ class Dataset:
 
     def to_csv(self, path: str | os.PathLike) -> None:
         """Write atomically: comma-separated, header row, UTF-8, repr floats."""
-        write_atomic(path, self.to_csv_text())
+        write_atomic(path, self._csv_pieces())
 
     def to_csv_text(self) -> str:
+        return "".join(self._csv_pieces())
+
+    def _csv_pieces(self) -> Iterator[str]:
+        """The header line, then the lines of each block of rows as one string."""
         buf = io.StringIO()
-        writer = csv.writer(buf, lineterminator="\n")
-        writer.writerow(self.columns)
-        integral = {
-            name: self.kinds[name] in ("binary", "categorical") for name in self.columns
-        }
-        cols = [self._data[name] for name in self.columns]
-        for row in range(self.n):
-            writer.writerow(
-                [
-                    str(int(col[row])) if integral[name] else repr(float(col[row]))
-                    for name, col in zip(self.columns, cols)
-                ]
-            )
-        return buf.getvalue()
+        csv.writer(buf, lineterminator="\n").writerow(self.columns)
+        yield buf.getvalue()
+        integral = [self.kinds[name] in ("binary", "categorical") for name in self.columns]
+        for start in range(0, self.n, _BLOCK_ROWS):
+            cells = []
+            for name, whole in zip(self.columns, integral):
+                values = self._data[name][start : start + _BLOCK_ROWS].tolist()
+                cells.append(map(str, map(int, values)) if whole else map(repr, values))
+            yield "\n".join(map(",".join, zip(*cells))) + "\n"
 
     @classmethod
     def from_csv(cls, path: str | os.PathLike) -> "Dataset":
         try:
-            with open(path, encoding="utf-8", newline="") as fh:
-                reader = csv.reader(fh)
-                rows = list(reader)
+            with open(path, encoding="utf-8-sig", newline="") as fh:
+                header, parsed = _read_csv(fh, path)
         except OSError as exc:
             raise UsageError(f"cannot read {path!r}: {exc}") from exc
-        if not rows:
-            raise UsageError(f"{path!r}: empty file, header row required")
-        header = rows[0]
-        if len(set(header)) != len(header) or any(not h for h in header):
-            raise UsageError(f"{path!r}: malformed header {header!r}")
-        body = rows[1:]
-        parsed = np.empty((len(body), len(header)))
-        for r, row in enumerate(body):
-            if len(row) != len(header):
-                raise UsageError(
-                    f"{path!r}: line {r + 2}: expected {len(header)} fields, got {len(row)}"
-                )
-            for c, cell in enumerate(row):
-                try:
-                    parsed[r, c] = float(cell)
-                except ValueError:
-                    raise UsageError(
-                        f"{path!r}: line {r + 2}, column {c + 1}: not a number: {cell!r}"
-                    ) from None
+        except UnicodeDecodeError:
+            raise UsageError(f"{path!r}: {_first_undecodable(path)}") from None
         return cls.from_columns({name: parsed[:, c] for c, name in enumerate(header)})
+
+
+def _read_csv(fh, path) -> tuple[list[str], np.ndarray]:
+    """Header and rows×columns floats of an open CSV file."""
+    reader = csv.reader(fh)
+    header = next(reader, None)
+    if header is None:
+        raise UsageError(f"{path!r}: empty file, header row required")
+    if len(set(header)) != len(header) or any(not h for h in header):
+        raise UsageError(f"{path!r}: malformed header {header!r}")
+    width, line, blocks = len(header), 2, []
+    while lines := fh.readlines(_READ_HINT):
+        block = _parse_plain(lines, width)
+        if block is None:
+            rows = csv.reader(itertools.chain(lines, fh))
+            while chunk := list(itertools.islice(rows, _BLOCK_ROWS)):
+                blocks.append(_parse_rows(chunk, width, line, path))
+                line += len(chunk)
+            break
+        blocks.append(block)
+        line += len(lines)
+    return header, np.concatenate(blocks) if blocks else np.empty((0, width))
+
+
+def _parse_plain(lines: list[str], width: int) -> np.ndarray | None:
+    """Floats of lines that csv.reader would split at every comma, else None.
+
+    Without a carriage return, lines end only in a newline, and csv.reader
+    splits a line with no quote at every comma. float() rejects every cell
+    that holds a quote, so a block whose lines all have width - 1 commas
+    and whose cells all parse is exactly width cells a row.
+    """
+    text = "".join(lines)
+    commas = set(map(str.count, lines, itertools.repeat(",")))
+    if "\r" in text or commas != {width - 1}:
+        return None
+    cells = text.replace("\n", ",").split(",")
+    if text.endswith("\n"):
+        cells.pop()
+    try:
+        values = list(map(float, cells))
+    except ValueError:
+        return None
+    return np.array(values).reshape(len(lines), width)
+
+
+def _parse_rows(rows: list[list[str]], width: int, first_line: int, path) -> np.ndarray:
+    """Floats of csv.reader rows, failing on the first bad row or cell."""
+    parsed = np.empty((len(rows), width))
+    for r, row in enumerate(rows):
+        if len(row) != width:
+            raise UsageError(
+                f"{path!r}: line {first_line + r}: expected {width} fields, got {len(row)}"
+            )
+        for c, cell in enumerate(row):
+            try:
+                parsed[r, c] = float(cell)
+            except ValueError:
+                raise UsageError(
+                    f"{path!r}: line {first_line + r}, column {c + 1}: not a number: {cell!r}"
+                ) from None
+    return parsed
+
+
+def _first_undecodable(path) -> str:
+    """Where the file at path first fails to decode as UTF-8, read again."""
+    try:
+        with open(path, "rb") as fh:
+            fh.read().decode("utf-8")
+    except UnicodeDecodeError as exc:
+        return f"not UTF-8: byte 0x{exc.object[exc.start]:02x} at offset {exc.start}"
+    except OSError:
+        pass
+    return "not UTF-8"

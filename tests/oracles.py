@@ -7,6 +7,8 @@ reusing the library's algorithms, so each check is a genuine dual route.
 
 from __future__ import annotations
 
+import csv
+import io
 import itertools
 import math
 
@@ -463,3 +465,50 @@ def hsic_pvalue_two_valued(x_bits, y_bits, perms: int, seed: int) -> float:
         for p in permutations_by_seed(perms, seed, m)
     )
     return (1 + hits) / (1 + perms)
+
+
+def csv_text_by_rows(data) -> str:
+    """A dataset's CSV text, one csv.writer row and one repr or int per cell."""
+    buf = io.StringIO()
+    writer = csv.writer(buf, lineterminator="\n")
+    writer.writerow(data.columns)
+    integral = {name: data.kinds[name] in ("binary", "categorical") for name in data.columns}
+    cols = [data.column(name) for name in data.columns]
+    for row in range(data.n):
+        writer.writerow(
+            [
+                str(int(col[row])) if integral[name] else repr(float(col[row]))
+                for name, col in zip(data.columns, cols)
+            ]
+        )
+    return buf.getvalue()
+
+
+def dataset_from_csv_by_cells(path):
+    """A CSV file read whole by csv.reader, then one float() per cell, with
+    the library's line and column error messages."""
+    from causelab.data import Dataset
+    from causelab.errors import UsageError
+
+    with open(path, encoding="utf-8-sig", newline="") as fh:
+        rows = list(csv.reader(fh))
+    if not rows:
+        raise UsageError(f"{path!r}: empty file, header row required")
+    header = rows[0]
+    if len(set(header)) != len(header) or any(not h for h in header):
+        raise UsageError(f"{path!r}: malformed header {header!r}")
+    body = rows[1:]
+    parsed = np.empty((len(body), len(header)))
+    for r, row in enumerate(body):
+        if len(row) != len(header):
+            raise UsageError(
+                f"{path!r}: line {r + 2}: expected {len(header)} fields, got {len(row)}"
+            )
+        for c, cell in enumerate(row):
+            try:
+                parsed[r, c] = float(cell)
+            except ValueError:
+                raise UsageError(
+                    f"{path!r}: line {r + 2}, column {c + 1}: not a number: {cell!r}"
+                ) from None
+    return Dataset.from_columns({name: parsed[:, c] for c, name in enumerate(header)})

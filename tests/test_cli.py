@@ -396,6 +396,37 @@ class TestNonFinite:
         assert captured.err.startswith("precondition failed: non-finite result")
 
 
+class TestCsvEncoding:
+    @pytest.fixture
+    def xyz_bytes(self):
+        import numpy as np
+        from causelab.data import Dataset
+
+        rng = np.random.default_rng(9)
+        data = Dataset.from_columns({c: rng.normal(size=60) for c in "XYZ"})
+        return data.to_csv_text().encode("utf-8")
+
+    def test_non_utf8_byte_exit2_with_one_line(self, capsys, tmp_path, xyz_bytes):
+        path = tmp_path / "latin1.csv"
+        cut = xyz_bytes.index(b"\n", 100)
+        path.write_bytes(xyz_bytes[:cut] + b"\xe9" + xyz_bytes[cut:])
+        code = main(["test-ci", "--data", str(path), "--a", "X", "--b", "Y"])
+        captured = capsys.readouterr()
+        assert code == 2 and captured.out == ""
+        assert captured.err == (
+            f"error: {str(path)!r}: not UTF-8: byte 0xe9 at offset {cut}\n"
+        )
+
+    def test_utf8_bom_does_not_rename_the_first_column(self, capsys, tmp_path, xyz_bytes):
+        plain, bom = tmp_path / "plain.csv", tmp_path / "bom.csv"
+        plain.write_bytes(xyz_bytes)
+        bom.write_bytes(b"\xef\xbb\xbf" + xyz_bytes)
+        argv = ["--a", "X", "--b", "Y", "--given", "Z"]
+        code, payload = run(capsys, "test-ci", "--data", str(bom), *argv)
+        assert code == 0
+        assert payload == run(capsys, "test-ci", "--data", str(plain), *argv)[1]
+
+
 class TestKernelCli:
     def test_mmd(self, capsys, tmp_path):
         import numpy as np

@@ -1,6 +1,9 @@
+import tracemalloc
+
 import numpy as np
 import pytest
 
+from causelab import data as data_module
 from causelab.data import Dataset, infer_kind
 from causelab.errors import UsageError
 
@@ -29,6 +32,10 @@ class TestDataset:
     def test_infinite_values_rejected(self, value):
         with pytest.raises(UsageError):
             Dataset.from_columns({"A": [1.0, value]})
+
+    def test_non_integral_categorical_rejected(self):
+        with pytest.raises(UsageError, match="categorical column 'a' has non-integral"):
+            Dataset.from_columns({"a": [1.5, 2.0]}, kinds={"a": "categorical"})
 
     def test_columns_read_only(self):
         data = Dataset.from_columns({"A": [1.0, 2.0]})
@@ -91,3 +98,31 @@ class TestCsv:
         path.write_text("A,B\n1.0\n")
         with pytest.raises(UsageError):
             Dataset.from_csv(path)
+
+    def test_utf8_bom_is_not_part_of_the_header(self, tmp_path):
+        path = tmp_path / "bom.csv"
+        path.write_bytes(b"\xef\xbb\xbfX,Y\n1.0,2.0\n")
+        assert Dataset.from_csv(path).columns == ("X", "Y")
+
+    def test_non_utf8_byte_named_with_its_offset(self, tmp_path):
+        path = tmp_path / "latin1.csv"
+        path.write_bytes(b"X,Y\n1.0,caf\xe9\n")
+        with pytest.raises(UsageError) as err:
+            Dataset.from_csv(path)
+        assert str(err.value) == f"{path!r}: not UTF-8: byte 0xe9 at offset 11"
+
+    def test_reading_holds_no_per_row_lists(self, tmp_path):
+        rows, cols = 50_000, 4
+        rng = np.random.default_rng(3)
+        path = tmp_path / "wide.csv"
+        Dataset.from_columns({f"C{c}": rng.normal(size=rows) for c in range(cols)}).to_csv(path)
+        tracemalloc.start()
+        try:
+            back = Dataset.from_csv(path)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert back.n == rows
+        # The parsed array, its per-column copies and one block's strings and
+        # floats; per-row lists of cell strings take about 14 parsed arrays.
+        assert peak < 3 * rows * cols * 8 + 16 * data_module._READ_HINT

@@ -1,15 +1,19 @@
 """Cross-cutting randomized properties (hypothesis-driven)."""
 
+import csv
+import io
 import itertools
 import logging
 import tempfile
 from pathlib import Path
+from unittest import mock
 
 import numpy as np
 import pytest
-from hypothesis import assume, given, settings
+from hypothesis import assume, example, given, settings
 from hypothesis import strategies as st
 
+from causelab import data as data_module
 from causelab.cgm import _check_front_door_shape
 from causelab.data import Dataset
 from causelab.discovery import (
@@ -46,6 +50,8 @@ from causelab.scm import sample
 from conftest import random_dag
 from oracles import (
     ancestors_by_parent_bfs,
+    csv_text_by_rows,
+    dataset_from_csv_by_cells,
     directed_paths,
     dsep_by_paths,
     hsic_permuted_dense,
@@ -178,6 +184,129 @@ def test_csv_round_trip_preserves_values(values):
         data.to_csv(path)
         back = Dataset.from_csv(path)
         assert np.array_equal(back.column("V"), data.column("V"))
+
+
+_ODD_CELLS = (
+    " 3 ", "1_0", "nan", "inf", "-inf", "1e400", "-0.0", "5e-324", "+.5", "\u00a04",
+    "\x0c2", "3\u2028", "oops", "", "0x1", "1e", '"1.5"', '"2,5"', '"7\n8"', '""', '4"',
+)
+
+
+@st.composite
+def csv_texts(draw):
+    """CSV texts around the fast reader's edges: quoted names and cells,
+    CRLF and CR endings, blank lines, ragged rows, cells float() reads in
+    its own way, a missing final newline, a BOM, header-only and empty
+    files."""
+    if draw(st.integers(0, 19)) == 0:
+        return ""
+    width = draw(st.integers(1, 4))
+    pool = ["A", "B", "C", "x y", "p,q", 'say "hi"', "two\nlines", "é"]
+    names = draw(st.lists(st.sampled_from(pool), min_size=width, max_size=width, unique=True))
+    if draw(st.integers(0, 9)) == 0:
+        names[-1] = draw(st.sampled_from(["", names[0]]))
+    buf = io.StringIO()
+    csv.writer(buf, lineterminator="").writerow(names)
+    number = st.one_of(
+        st.floats(allow_nan=False, allow_infinity=False).map(repr),
+        st.integers(-3, 3).map(str),
+    )
+    odd = draw(st.lists(st.sampled_from(_ODD_CELLS), max_size=3))
+    cell = st.one_of(number, number, number, st.sampled_from(odd)) if odd else number
+    rows = draw(st.lists(st.lists(cell, min_size=width, max_size=width), max_size=30))
+    lines = [buf.getvalue()] + [",".join(row) for row in rows]
+    for _ in range(draw(st.integers(0, 2)) if len(lines) > 1 else 0):
+        k = draw(st.integers(1, len(lines) - 1))
+        lines[k] = draw(st.sampled_from(["", lines[k] + ",1", lines[k].rpartition(",")[0]]))
+    ends = draw(st.lists(st.sampled_from(["\n", "\n", "\n", "\r\n", "\r"]),
+                         min_size=len(lines), max_size=len(lines)))
+    if draw(st.booleans()):
+        ends[-1] = ""
+    bom = "\ufeff" if draw(st.integers(0, 9)) == 0 else ""
+    return bom + "".join(line + end for line, end in zip(lines, ends))
+
+
+def _csv_outcome(read, path):
+    try:
+        data = read(path)
+    except UsageError as exc:
+        return str(exc)
+    return data.columns, data.kinds, [data.column(c).tobytes() for c in data.columns]
+
+
+@settings(max_examples=400, deadline=None)
+@given(csv_texts(), st.sampled_from([1, 40, 200, data_module._READ_HINT]))
+@example("A,B\n1\n1,2,3\n", 200)  # ragged rows whose comma counts balance
+@example("A,B\n1,0\r,5\n", 200)  # a lone CR ends a line; the next starts empty
+def test_block_reader_matches_whole_file_reader(text, hint):
+    with tempfile.TemporaryDirectory() as tmp:
+        path = Path(tmp) / "t.csv"
+        path.write_bytes(text.encode("utf-8"))
+        expected = _csv_outcome(dataset_from_csv_by_cells, path)
+        with mock.patch.object(data_module, "_READ_HINT", hint):
+            assert _csv_outcome(Dataset.from_csv, path) == expected
+
+
+@pytest.mark.parametrize(
+    "late_line",
+    [None, '"1.5",0', "1.5,oops", "1.5", "", "1.5,0\r", " 3 ,1_0"],
+    ids=["plain", "quoted", "bad-cell", "ragged", "blank", "cr", "float-only"],
+)
+def test_block_reader_matches_on_bodies_of_several_blocks(tmp_path, late_line):
+    rows = 4 * data_module._READ_HINT // 20
+    rng = np.random.default_rng(7)
+    lines = [f"{a!r},{int(b)}" for a, b in zip(rng.normal(size=rows).tolist(),
+                                               rng.random(rows) < 0.5)]
+    if late_line is not None:
+        lines[-5] = late_line
+    path = tmp_path / "long.csv"
+    path.write_bytes(("A,B\n" + "\n".join(lines) + "\n").encode("utf-8"))
+    assert path.stat().st_size > 3 * data_module._READ_HINT
+    expected = _csv_outcome(dataset_from_csv_by_cells, path)
+    assert _csv_outcome(Dataset.from_csv, path) == expected
+    if late_line in ("1.5,oops", "1.5", ""):
+        assert f"line {rows - 5 + 2}" in expected
+
+
+_ROW_COUNTS = [0, 1, data_module._BLOCK_ROWS - 1, data_module._BLOCK_ROWS,
+               data_module._BLOCK_ROWS + 1]
+_EDGE_VALUES = {
+    "real": [-0.0, 5e-324, 2.2250738585072014e-308, 1e-310, 1e308, -1e308,
+             1.7976931348623157e308, 0.1, 1e16, 123456789.0],
+    "binary": [0.0, 1.0, -0.0],
+    "categorical": [1e300, -1e300, 2.0**63, 2.0**53 + 2, -0.0, 0.0],
+}
+
+
+@settings(max_examples=30, deadline=None)
+@given(
+    st.sampled_from(_ROW_COUNTS),
+    st.lists(st.tuples(st.sampled_from(["A", "b c", "x,y", 'q"t', "é"]),
+                       st.sampled_from(sorted(_EDGE_VALUES))),
+             min_size=1, max_size=4, unique_by=lambda t: t[0]),
+    st.integers(0, 2**32 - 1),
+)
+def test_block_writer_matches_row_writer(n, spec, seed):
+    rng = np.random.default_rng(seed)
+    columns, kinds = {}, {}
+    for name, kind in spec:
+        if kind == "real":
+            values = rng.normal(size=n) * 10.0 ** rng.integers(-300, 300, size=n)
+        elif kind == "binary":
+            values = (rng.random(n) < 0.5).astype(float)
+        else:
+            values = rng.integers(-5, 6, size=n).astype(float)
+        edges = _EDGE_VALUES[kind]
+        at = rng.integers(0, max(n, 1), size=min(n, len(edges)))
+        values[at] = rng.choice(edges, size=at.size)
+        columns[name], kinds[name] = values, kind
+    data = Dataset.from_columns(columns, kinds=kinds)
+    expected = csv_text_by_rows(data)
+    assert data.to_csv_text() == expected
+    with tempfile.TemporaryDirectory() as tmp:
+        path = Path(tmp) / "w.csv"
+        data.to_csv(path)
+        assert path.read_bytes() == expected.encode("utf-8")
 
 
 @settings(max_examples=30, deadline=None)
