@@ -7,12 +7,13 @@ are drawn from the seed one block at a time, always in the same order,
 and each block's statistics are evaluated together, so a p-value depends
 only on the seed. HSIC evaluates its permuted statistics from pivoted
 incomplete Cholesky factors of its two Grams (Bach & Jordan 2002;
-Gretton et al. 2007), and counts those within rounding of the observed
-one as ties.
+Gretton et al. 2007), and counts those that rounding puts just below the
+observed one as ties when they tie it in exact arithmetic.
 """
 
 from __future__ import annotations
 
+import functools
 import math
 from dataclasses import dataclass
 
@@ -269,9 +270,8 @@ class CiTestResult:
 
 MIN_HSIC_SAMPLES = 20
 CHOLESKY_TOL = 1e-12  # pivoting stops at this fraction of the largest diagonal
-# permuted HSIC statistics this fraction of their bound from the observed one
-# are ties: above their rounding error, and below the gap between two 2 x 2
-# contingency tables at GRAM_SIZE_CAP rows
+# permuted HSIC statistics this fraction of their bound below the observed
+# one may be ties: above the rounding error of a tie
 TIE_RTOL = 1e-11
 
 
@@ -309,13 +309,48 @@ def _pivoted_cholesky(g: np.ndarray) -> np.ndarray:
     return np.array(rows).reshape(len(rows), len(g))
 
 
+def _column_labels(R: np.ndarray) -> np.ndarray:
+    """One integer per column of R, equal for bitwise-equal columns."""
+    return np.unique(R.T, axis=0, return_inverse=True)[1].reshape(-1)
+
+
+def _exact_tie_test(A: np.ndarray, B: np.ndarray):
+    """Whether pairing column i of A with column order[i] of B gives the
+    identity pairing's HSIC in exact arithmetic.
+
+    With N the contingency table of the groups of equal columns of A and
+    of B, and r, c its margins, A B[:, order]^T is linear in m N - r c^T,
+    so the statistic is a quadratic form in it: a table N' ties N when
+    m N' - r c^T = +-(m N - r c^T). The minus sign needs
+    m (N + N') = 2 r c^T > 0 in every cell, so with more than 2m cells
+    only N' = N can tie, and sorted pair codes decide it.
+    """
+    gx, gy = _column_labels(A), _column_labels(B)
+    m, y_groups = len(gx), int(gy.max()) + 1
+    cells = (int(gx.max()) + 1) * y_groups
+    x_code = gx * y_groups
+    if cells > 2 * m:
+        observed = np.sort(x_code + gy)
+        return lambda order: np.array_equal(np.sort(x_code + gy[order]), observed)
+    observed = np.bincount(x_code + gy, minlength=cells)
+    flipped = 2 * np.outer(np.bincount(gx), np.bincount(gy)).ravel() - m * observed
+
+    def ties(order) -> bool:
+        table = np.bincount(x_code + gy[order], minlength=cells)
+        return np.array_equal(table, observed) or np.array_equal(m * table, flipped)
+
+    return ties
+
+
 def _hsic_permuted(K: np.ndarray, L: np.ndarray, perms: int, seed: int):
     """HSIC at the identity order and at seeded permutations of L's rows,
     all by one formula, ||A B[:, p]^T||_F^2 / m^2 for K ~ F^T F, L ~ G^T G,
-    A = F H and B = G H, with one matmul per block of permutations; and
-    the slack within which two of them are ties. They are ties in exact
-    arithmetic when a sample is constant, or when both are discrete and a
-    permutation keeps their contingency table.
+    A = F H and B = G H, with one matmul per block of permutations.
+
+    A permuted statistic that rounding puts just below the observed one,
+    within TIE_RTOL of their bound, is returned equal to it when it ties
+    in exact arithmetic (_exact_tie_test), as with a constant sample or
+    two discrete ones. Continuous samples make near-ties that are not ties.
     """
     m = len(L)
     A, B = _pivoted_cholesky(K), _pivoted_cholesky(L)
@@ -323,15 +358,24 @@ def _hsic_permuted(K: np.ndarray, L: np.ndarray, perms: int, seed: int):
         R -= R.mean(axis=1, keepdims=True)
     Bt = np.ascontiguousarray(B.T)
 
-    def block_stats(block):
+    def statistics(block):
         prod = np.square(np.matmul(A, Bt[block]))
         return prod.reshape(len(block), -1).sum(axis=1) / m**2
 
-    observed = float(block_stats(np.arange(m)[None])[0])
+    observed = float(statistics(np.arange(m)[None])[0])
     # every statistic is at most ||A||_F^2 ||B||_F^2 / m^2
     slack = TIE_RTOL * float(np.square(A).sum() * np.square(B).sum()) / m**2
+    tie_test = functools.cache(lambda: _exact_tie_test(A, B))
+
+    def block_stats(block):
+        stats = statistics(block)
+        for i in np.flatnonzero((stats < observed) & (stats >= observed - slack)):
+            if tie_test()(block[i]):
+                stats[i] = observed
+        return stats
+
     row_bytes = 8 * m * (Bt.shape[1] + 1)
-    return observed, slack, _run_permutations(block_stats, perms, seed, m, row_bytes)
+    return observed, _run_permutations(block_stats, perms, seed, m, row_bytes)
 
 
 def hsic_test(
@@ -354,11 +398,11 @@ def hsic_test(
     if ky is None:
         ky = GaussianKernel(median_heuristic(ys))
     K, L = gram(kx, xs), gram(ky, ys)
-    observed, slack, perm_stats = _hsic_permuted(K, L, perms, seed)
+    observed, perm_stats = _hsic_permuted(K, L, perms, seed)
     return CiTestResult(
         method="hsic",
         statistic=_hsic_dense(K, L),
-        p_value=_permutation_pvalue(observed - slack, perm_stats),
+        p_value=_permutation_pvalue(observed, perm_stats),
         cond_set_size=0,
     )
 

@@ -464,14 +464,27 @@ def hsic_samples(draw):
 def test_hsic_permuted_statistics_match_dense(sample, perms, seed):
     xs, ys, kx, ky = sample
     K, L = gram(_kernel_named(kx, xs), xs), gram(_kernel_named(ky, ys), ys)
-    observed, slack, stats = _hsic_permuted(K, L, perms, seed)
+    observed, stats = _hsic_permuted(K, L, perms, seed)
     dense_observed, dense_stats = hsic_permuted_dense(K, L, perms, seed)
     everything = np.append(dense_stats, dense_observed)
     # a floor on the scale for the rounding-noise statistics of constant columns
     scale = max(np.abs(everything).max(), np.abs(K).max() * np.abs(L).max() * 1e-6)
     assert abs(observed - dense_observed) <= 1e-9 * scale
     assert np.abs(stats - dense_stats).max() <= 1e-9 * scale
-    assert (stats >= observed - slack).sum() == (dense_stats >= dense_observed).sum()
+    assert (stats >= observed).sum() == (dense_stats >= dense_observed).sum()
+
+
+def test_hsic_near_ties_of_continuous_samples_do_not_count():
+    """Narrow bandwidths put permuted statistics of distinct pairings a few
+    1e-12 below the observed one; they are not ties and do not count."""
+    rng = np.random.default_rng(22)
+    xs, ys = rng.normal(size=(20, 2)), rng.normal(size=(20, 1))
+    K, L = (gram(_kernel_named("narrow", v), v) for v in (xs, ys))
+    observed, stats = _hsic_permuted(K, L, 20, 0)
+    dense_observed, dense_stats = hsic_permuted_dense(K, L, 20, 0)
+    gaps = dense_stats - dense_observed
+    assert ((gaps < 0) & (gaps > -1e-11)).any()
+    assert (stats >= observed).sum() == (dense_stats >= dense_observed).sum()
 
 
 @settings(max_examples=80, deadline=None)
