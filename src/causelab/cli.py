@@ -18,7 +18,7 @@ import sys
 import numpy as np
 
 from . import discovery, estimation, kernels
-from .data import Dataset, write_atomic
+from .data import Dataset, _first_undecodable, write_atomic
 from .errors import PreconditionError, UsageError
 from .graph import (
     _colliders,
@@ -45,6 +45,8 @@ def _read_text(path: str) -> str:
             return fh.read()
     except OSError as exc:
         raise UsageError(f"cannot read {path!r}: {exc}") from exc
+    except UnicodeDecodeError:
+        raise UsageError(f"{path!r}: {_first_undecodable(path)}") from None
 
 
 def _emit(payload: dict, out: str | None) -> None:

@@ -146,8 +146,7 @@ class Dataset:
 
 def _read_csv(fh, path) -> tuple[list[str], np.ndarray]:
     """Header and rows×columns floats of an open CSV file."""
-    reader = csv.reader(fh)
-    header = next(reader, None)
+    header = next(_csv_rows(fh, 1, path), None)
     if header is None:
         raise UsageError(f"{path!r}: empty file, header row required")
     if len(set(header)) != len(header) or any(not h for h in header):
@@ -156,7 +155,7 @@ def _read_csv(fh, path) -> tuple[list[str], np.ndarray]:
     while lines := fh.readlines(_READ_HINT):
         block = _parse_plain(lines, width)
         if block is None:
-            rows = csv.reader(itertools.chain(lines, fh))
+            rows = _csv_rows(itertools.chain(lines, fh), line, path)
             while chunk := list(itertools.islice(rows, _BLOCK_ROWS)):
                 blocks.append(_parse_rows(chunk, width, line, path))
                 line += len(chunk)
@@ -164,6 +163,16 @@ def _read_csv(fh, path) -> tuple[list[str], np.ndarray]:
         blocks.append(block)
         line += len(lines)
     return header, np.concatenate(blocks) if blocks else np.empty((0, width))
+
+
+def _csv_rows(lines: Iterable[str], first_line: int, path) -> Iterator[list[str]]:
+    """csv.reader rows of lines that start at line first_line of the file;
+    a csv.Error, such as a field over csv.field_size_limit(), names its line."""
+    reader = csv.reader(lines)
+    try:
+        yield from reader
+    except csv.Error as exc:
+        raise UsageError(f"{path!r}: line {first_line + reader.line_num - 1}: {exc}") from None
 
 
 def _parse_plain(lines: list[str], width: int) -> np.ndarray | None:

@@ -341,18 +341,20 @@ def markov_equivalent(g1: Dag, g2: Dag) -> bool:
 
 
 def meek_closure(
-    n: int,
+    nodes: Sequence[str],
     directed: set[tuple[int, int]],
     undirected: set[tuple[int, int]],
 ) -> tuple[set[tuple[int, int]], set[tuple[int, int]]]:
     """Close a partially directed graph under the four orientation rules.
 
-    Operates on index pairs; undirected pairs are returned as (min, max).
-    An orientation that would close a directed cycle is skipped with a
-    warning (possible only for inconsistent finite-sample inputs). Each
+    Operates on index pairs into nodes; undirected pairs are returned as
+    (min, max). An orientation that would close a directed cycle is
+    skipped with a warning that names the nodes (possible only for
+    inconsistent finite-sample inputs). Each
     pass applies R1 to R4 in turn, visiting edges in ascending pair order
     as of the start of each rule.
     """
+    n = len(nodes)
     out = [0] * n  # out[i] bit j: i -> j
     into = [0] * n  # into[j] bit i: i -> j
     und = [0] * n  # und[i] bit j: i - j
@@ -368,7 +370,8 @@ def meek_closure(
     def orient(i, j):
         if _reaches(out, j, i):
             logger.warning(
-                "skipping orientation %s->%s: would close a directed cycle", i, j
+                "skipping orientation %s->%s: would close a directed cycle",
+                nodes[i], nodes[j],
             )
             return False
         und[i] &= ~(1 << j)
@@ -422,7 +425,7 @@ def _cpdag_from_pattern(
     undirected = {
         (i, j) for i, j in skeleton if (i, j) not in directed and (j, i) not in directed
     }
-    directed, undirected = meek_closure(len(nodes), directed, undirected)
+    directed, undirected = meek_closure(nodes, directed, undirected)
     return Cpdag(
         nodes=tuple(nodes),
         directed=frozenset((nodes[i], nodes[j]) for i, j in directed),

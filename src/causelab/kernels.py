@@ -1,14 +1,18 @@
-"""Kernel machinery: Gram matrices, mean embeddings, MMD and HSIC
-permutation tests, conditional-independence tests, and the VC bound.
+"""Kernel machinery: kernels, mean embeddings, MMD and HSIC permutation
+tests, conditional-independence tests, and the VC bound.
 
 Permutation p-values use (1 + #{perm >= observed}) / (1 + B), which is
 never zero and is super-uniform under the null. Permutation index sets
 are drawn from the seed one block at a time, always in the same order,
 and each block's statistics are evaluated together, so a p-value depends
-only on the seed. HSIC evaluates its permuted statistics from pivoted
-incomplete Cholesky factors of its two Grams (Bach & Jordan 2002;
-Gretton et al. 2007), and counts those that rounding puts just below the
-observed one as ties when they tie it in exact arithmetic.
+only on the seed.
+
+No test builds a Gram matrix. HSIC, MMD and kernel-ridge residuals run
+on one low-rank factor R per sample, R^T R ~ the Gram, built by pivoted
+incomplete Cholesky from one kernel row per pivot (Fine & Scheinberg
+2001; Bach & Jordan 2002); ridge residuals by the Woodbury identity.
+KERNEL_BYTES_CAP bounds a factor's rows and a multi-column median
+heuristic's distances, checked before allocating.
 """
 
 from __future__ import annotations
@@ -24,17 +28,23 @@ from .errors import PreconditionError, UsageError
 
 DEFAULT_PERMUTATIONS = 500
 DEFAULT_RIDGE_SCALE = 1e-3  # regularizer = scale * m
-GRAM_SIZE_CAP = 5000  # dense O(m^2) Grams only; documented practical cap
-# working set of one block of permutations or distance rows; blocks this
+# bytes for one kernel array that grows faster than its sample: the
+# distances of a median heuristic pooling two 5,000-row samples, so also
+# any factor, or dense Gram, of 5,000 rows
+KERNEL_BYTES_CAP = 8 * 10_000**2 // 2
+# working set of one block of permutations or kernel rows; blocks this
 # small stay in cache and reuse heap memory, and measured faster than 8 MiB
 BLOCK_BYTES = 1 << 18
+# the largest float whose square rounds to zero
+_SQUARE_UNDERFLOW = float.fromhex("0x1.6a09e667f3bccp-538")
 
 
-def _sq_distances(xs: np.ndarray, ys: np.ndarray) -> np.ndarray:
-    """Pairwise squared Euclidean distances between the rows of xs and ys.
+def _pairwise_sum(xs: np.ndarray, ys: np.ndarray, term) -> np.ndarray:
+    """sum_k term(x_k, y_k) for every pair of rows of xs and ys.
 
     Columns are added one at a time in index order, the same summation
-    order as a per-pair loop, so the result does not depend on blocking.
+    order as a per-pair loop, so the result does not depend on blocking,
+    and equal rows give bitwise-equal results.
     """
     xs = np.atleast_2d(np.asarray(xs, dtype=float))
     ys = np.atleast_2d(np.asarray(ys, dtype=float))
@@ -42,12 +52,15 @@ def _sq_distances(xs: np.ndarray, ys: np.ndarray) -> np.ndarray:
         raise UsageError("points must share dimensionality")
     if xs.shape[1] == 0:
         return np.zeros((len(xs), len(ys)))
-    out = np.square(xs[:, 0, None] - ys[None, :, 0])
+    out = term(xs[:, 0, None], ys[None, :, 0])
     for k in range(1, xs.shape[1]):
-        diff = xs[:, k, None] - ys[None, :, k]
-        diff *= diff
-        out += diff
+        out += term(xs[:, k, None], ys[None, :, k])
     return out
+
+
+def _sq_distances(xs: np.ndarray, ys: np.ndarray) -> np.ndarray:
+    """Pairwise squared Euclidean distances between the rows of xs and ys."""
+    return _pairwise_sum(xs, ys, lambda a, b: np.square(a - b))
 
 
 # ---------------------------------------------------------------------------
@@ -55,7 +68,7 @@ def _sq_distances(xs: np.ndarray, ys: np.ndarray) -> np.ndarray:
 
 
 class Kernel:
-    """Kernels must be positive semidefinite: HSIC factors their Grams."""
+    """Kernels must be positive semidefinite: every test factors them."""
 
     __slots__ = ()
 
@@ -88,13 +101,13 @@ class PolynomialKernel(Kernel):
             raise UsageError("offset must be >= 0")
 
     def __call__(self, xs, ys):
-        return (np.atleast_2d(xs) @ np.atleast_2d(ys).T + self.offset) ** self.degree
+        return (_pairwise_sum(xs, ys, np.multiply) + self.offset) ** self.degree
 
 
 @dataclass(frozen=True)
 class LinearKernel(Kernel):
     def __call__(self, xs, ys):
-        return np.atleast_2d(xs) @ np.atleast_2d(ys).T
+        return _pairwise_sum(xs, ys, np.multiply)
 
 
 def _as_matrix(xs) -> np.ndarray:
@@ -103,18 +116,112 @@ def _as_matrix(xs) -> np.ndarray:
         arr = arr[:, None]
     if arr.ndim != 2 or arr.shape[0] == 0:
         raise UsageError("sample must be a nonempty 1-d or 2-d array")
-    if arr.shape[0] > GRAM_SIZE_CAP:
-        raise UsageError(
-            f"sample of {arr.shape[0]} rows exceeds the dense Gram cap {GRAM_SIZE_CAP}"
-        )
     return arr
+
+
+def _check_bytes(nbytes: int, what: str) -> None:
+    """Refuse, before allocating it, a kernel array over KERNEL_BYTES_CAP."""
+    if nbytes > KERNEL_BYTES_CAP:
+        raise UsageError(f"{what} needs {nbytes} bytes, over the cap of {KERNEL_BYTES_CAP}")
 
 
 def gram(k: Kernel, xs) -> np.ndarray:
     """G[i][j] = k(x_i, x_j); symmetric and PSD up to jitter."""
     xs = _as_matrix(xs)
+    _check_bytes(8 * len(xs) ** 2, f"a dense Gram of {len(xs)} rows")
     g = k(xs, xs)
     return (g + g.T) / 2.0
+
+
+def _row_blocks(k: Kernel, xs: np.ndarray, ys: np.ndarray, reduce) -> np.ndarray:
+    """reduce(k(block, ys)) over blocks of xs's rows of about BLOCK_BYTES,
+    concatenated: no len(xs) x len(ys) matrix is held."""
+    step = max(1, BLOCK_BYTES // (8 * len(ys)))
+    return np.concatenate([reduce(k(xs[i : i + step], ys)) for i in range(0, len(xs), step)])
+
+
+CHOLESKY_TOL = 1e-12  # pivoting stops at this fraction of the largest diagonal
+
+
+def _kernel_factor(k: Kernel, xs: np.ndarray) -> np.ndarray:
+    """R (r x m) with R^T R ~ gram(k, xs), by pivoted incomplete Cholesky
+    from k's diagonal and one kernel row per pivot; the Gram is never built.
+
+    It stops at a largest residual diagonal of CHOLESKY_TOL times the
+    largest diagonal, which bounds every residual entry of a PSD kernel.
+    Kernel rows are the Gram's rows bitwise, and entrywise updates, not
+    BLAS, give equal sample points bitwise-equal columns of R.
+    """
+    m = len(xs)
+    step = max(1, math.isqrt(BLOCK_BYTES // 8))
+    residual = np.concatenate(
+        [np.diag(k(xs[i : i + step], xs[i : i + step])) for i in range(0, m, step)]
+    )
+    stop = CHOLESKY_TOL * residual.max()
+    rows = []
+    for _ in range(m):
+        pivot = int(np.argmax(residual))
+        if residual[pivot] <= stop:
+            break
+        _check_bytes(8 * m * (len(rows) + 1), f"a kernel factor of {m} rows")
+        row = k(xs[pivot : pivot + 1], xs)[0]
+        for r in rows:
+            row -= r * r[pivot]
+        row /= math.sqrt(residual[pivot])
+        residual -= row * row
+        rows.append(row)
+    return np.array(rows).reshape(len(rows), m)
+
+
+def _first_above(s: np.ndarray, t: float) -> np.ndarray:
+    """For each i, the first j with fl(s[j] - s[i]) > t, for sorted s.
+
+    fl(s[j] - s[i]) is nondecreasing in j. searchsorted on fl(s[i] + t)
+    can be off only at values within rounding of s[i] + t, and is moved
+    past one run of equal values at a time until the test holds.
+    """
+    m = len(s)
+    b = np.searchsorted(s, s + t, side="right")
+    while True:
+        ahead, behind = np.minimum(b, m - 1), np.maximum(b - 1, 0)
+        up = (b < m) & (s[ahead] - s <= t)
+        down = (b > 0) & (s[behind] - s > t)
+        if not (up.any() or down.any()):
+            return b
+        b = np.where(up, np.searchsorted(s, s[ahead], side="right"), b)
+        b = np.where(down, np.searchsorted(s, s[behind], side="left"), b)
+
+
+def _pairs_below(first: np.ndarray) -> int:
+    """The number of pairs i < j before first[i], given first[i] > i."""
+    m = len(first)
+    return int(first.sum()) - m * (m + 1) // 2
+
+
+def _kth_difference(s: np.ndarray, k: int) -> float:
+    """The k-th smallest (1-based) of fl(s[j] - s[i]) over pairs i < j of
+    the sorted sample s, given fewer than k pairs at most _SQUARE_UNDERFLOW
+    apart. It bisects on the value's bit pattern, one O(m log m) count a
+    step, until at most m pairs lie between the bounds, and selects there.
+    """
+    m = len(s)
+    bits = np.array([_SQUARE_UNDERFLOW, s[-1] - s[0]]).view(np.int64)
+    lo, hi = _first_above(s, _SQUARE_UNDERFLOW), _first_above(s, s[-1] - s[0])
+    while bits[1] - bits[0] > 1 and _pairs_below(hi) - _pairs_below(lo) > m:
+        mid = bits[0] + (bits[1] - bits[0]) // 2
+        first = _first_above(s, float(mid.view(np.float64)))
+        if _pairs_below(first) < k:
+            bits[0], lo = mid, first
+        else:
+            bits[1], hi = mid, first
+    if bits[1] - bits[0] == 1:
+        return float(bits[1:].view(np.float64)[0])
+    # the pairs (i, j) with lo[i] <= j < hi[i], and their differences
+    widths = hi - lo
+    i = np.repeat(np.arange(m), widths)
+    j = np.arange(widths.sum()) + np.repeat(lo - np.cumsum(widths) + widths, widths)
+    rank = k - _pairs_below(lo) - 1
+    return float(np.partition(s[j] - s[i], rank)[rank])
 
 
 def median_heuristic(xs, ys=None) -> float:
@@ -122,11 +229,30 @@ def median_heuristic(xs, ys=None) -> float:
 
     No bandwidth is canonical; this is the documented default, computed
     on the pooled sample so it is invariant to permutations. Falls back
-    to 1.0 when all points coincide.
+    to 1.0 when all points coincide. A distance is sqrt(fl(d^2)), so one
+    whose square underflows counts as zero. One-column samples select
+    the median from the sorted sample; wider ones hold all m(m-1)/2
+    distances, within KERNEL_BYTES_CAP.
     """
     xs = _as_matrix(xs)
     pool = xs if ys is None else np.vstack([xs, _as_matrix(ys)])
     m = len(pool)
+    if pool.shape[1] == 1:
+        s = np.sort(pool[:, 0])
+        zeros = _pairs_below(_first_above(s, _SQUARE_UNDERFLOW))
+        positive = m * (m - 1) // 2 - zeros
+        if positive == 0:
+            return 1.0
+
+        def distance(k):  # the k-th smallest positive one
+            d = _kth_difference(s, zeros + k)
+            return math.sqrt(d * d)
+
+        half = positive // 2
+        if positive % 2:
+            return distance(half + 1)
+        return (distance(half) + distance(half + 1)) / 2.0
+    _check_bytes(8 * (m * (m - 1) // 2), f"the median heuristic of {m} rows")
     # the strict upper triangle in row-major order, a block of rows at a
     # time, so no m x m matrix is ever held
     upper = np.empty(m * (m - 1) // 2)
@@ -152,7 +278,7 @@ def mean_map_apply(k: Kernel, xs, anchors, coeffs) -> float:
     anchors = _as_matrix(anchors)
     if anchors.shape[0] != coeffs.shape[0]:
         raise UsageError("one coefficient per anchor point required")
-    return float(k(anchors, xs).mean(axis=1) @ coeffs)
+    return float(_row_blocks(k, anchors, xs, lambda g: g.mean(axis=1)) @ coeffs)
 
 
 # ---------------------------------------------------------------------------
@@ -199,6 +325,25 @@ class EmbeddingDistance:
     seed: int
 
 
+def _mmd_permuted(R: np.ndarray, m: int, perms: int, seed: int):
+    """Biased MMD^2 of the split of R's columns into the first m and the
+    rest, and of seeded permutations of it. A split's statistic is
+    ||R w||^2 for w = 1/m on its x-set and -1/n elsewhere. Each x-set's
+    column sum is taken over its sorted indices, so splits with the same
+    x-set give bitwise-equal statistics."""
+    n = R.shape[1] - m
+    Rt = np.ascontiguousarray(R.T)
+    total = Rt.sum(axis=0)
+
+    def statistics(block):
+        sums = Rt[np.sort(block[:, :m], axis=1)].sum(axis=1)
+        return np.square(sums * (1.0 / m + 1.0 / n) - total / n).sum(axis=1)
+
+    observed = float(statistics(np.arange(m + n)[None])[0])
+    row_bytes = 8 * (m + n) * (Rt.shape[1] + 1)
+    return observed, _run_permutations(statistics, perms, seed, m + n, row_bytes)
+
+
 def mmd(
     k: Kernel | None,
     xs,
@@ -206,7 +351,8 @@ def mmd(
     perms: int = DEFAULT_PERMUTATIONS,
     seed: int = 0,
 ) -> EmbeddingDistance:
-    """Biased (>= 0) and unbiased squared MMD with a permutation p-value.
+    """Biased (>= 0) and unbiased squared MMD with a permutation p-value,
+    from one factor of the pooled sample's Gram.
 
     With k=None a Gaussian kernel with the pooled median-heuristic
     bandwidth is used, so the kernel is identical across permutations.
@@ -218,35 +364,15 @@ def mmd(
     if k is None:
         k = GaussianKernel(median_heuristic(xs, ys))
     m, n = len(xs), len(ys)
-    pooled = np.vstack([xs, ys])
-    big = gram(k, pooled)
-    row_sums = big.sum(axis=1)
-    total = float(big.sum())
-
-    def stat(order: np.ndarray) -> float:
-        # biased MMD^2 via quadratic forms with the x-membership vector
-        v = np.zeros(m + n)
-        v[order[:m]] = 1.0
-        kv = big @ v
-        sxx = float(v @ kv)
-        sx_all = float(row_sums @ v)
-        sxy = sx_all - sxx
-        syy = total - 2.0 * sx_all + sxx
-        return sxx / (m * m) - 2.0 * sxy / (m * n) + syy / (n * n)
-
-    identity = np.arange(m + n)
-    observed = stat(identity)
-    kxx = big[:m, :m]
-    kyy = big[m:, m:]
-    kxy = big[:m, m:]
-    unbiased = float(
-        (kxx.sum() - np.trace(kxx)) / (m * (m - 1)) if m > 1 else 0.0
-    ) + float(
-        (kyy.sum() - np.trace(kyy)) / (n * (n - 1)) if n > 1 else 0.0
-    ) - 2.0 * float(kxy.mean())
-    perm_stats = _run_permutations(
-        lambda block: [stat(order) for order in block], perms, seed, m + n, 8 * (m + n)
-    )
+    R = _kernel_factor(k, np.vstack([xs, ys]))
+    observed, perm_stats = _mmd_permuted(R, m, perms, seed)
+    # K ~ R^T R: block sums are products of column sums, traces squared norms
+    sx, sy = R[:, :m].sum(axis=1), R[:, m:].sum(axis=1)
+    unbiased = (
+        (float(sx @ sx) - float(np.square(R[:, :m]).sum())) / (m * (m - 1)) if m > 1 else 0.0
+    ) + (
+        (float(sy @ sy) - float(np.square(R[:, m:]).sum())) / (n * (n - 1)) if n > 1 else 0.0
+    ) - 2.0 * float(sx @ sy) / (m * n)
     return EmbeddingDistance(
         statistic=max(observed, 0.0),
         unbiased=unbiased,
@@ -269,44 +395,25 @@ class CiTestResult:
 
 
 MIN_HSIC_SAMPLES = 20
-CHOLESKY_TOL = 1e-12  # pivoting stops at this fraction of the largest diagonal
 # permuted HSIC statistics this fraction of their bound below the observed
 # one may be ties: above the rounding error of a tie
 TIE_RTOL = 1e-11
 
 
-def _hsic_dense(K: np.ndarray, L: np.ndarray) -> float:
-    """(1/m^2) trace(K H L H) with the centering matrix H."""
-    Kc = K - K.mean(axis=0, keepdims=True) - K.mean(axis=1, keepdims=True) + K.mean()
-    return float((Kc * L).sum() / len(L) ** 2)
+def _centred(R: np.ndarray) -> np.ndarray:
+    """R H for the centering matrix H, in place."""
+    R -= R.mean(axis=1, keepdims=True)
+    return R
 
 
 def hsic_statistic(kx: Kernel, ky: Kernel, xs, ys) -> float:
-    """(1/m^2) trace(K H L H) with the centering matrix H."""
+    """(1/m^2) trace(K H L H) with the centering matrix H, as
+    ||A B^T||_F^2 / m^2 for the centred factors A of K and B of L."""
     xs, ys = _as_matrix(xs), _as_matrix(ys)
-    return _hsic_dense(gram(kx, xs), gram(ky, ys))
-
-
-def _pivoted_cholesky(g: np.ndarray) -> np.ndarray:
-    """R with R^T R ~ g by pivoted incomplete Cholesky. It stops at a
-    largest residual diagonal of CHOLESKY_TOL times g's, which bounds every
-    residual entry of a PSD g. Entrywise updates, not BLAS, give equal
-    columns of g bitwise-equal columns of R.
-    """
-    residual = np.diag(g).copy()
-    stop = CHOLESKY_TOL * residual.max()
-    rows = []
-    for _ in range(len(g)):
-        pivot = int(np.argmax(residual))
-        if residual[pivot] <= stop:
-            break
-        row = g[pivot].copy()
-        for r in rows:
-            row -= r * r[pivot]
-        row /= math.sqrt(residual[pivot])
-        residual -= row * row
-        rows.append(row)
-    return np.array(rows).reshape(len(rows), len(g))
+    if len(xs) != len(ys):
+        raise UsageError("paired samples must have equal length")
+    A, B = _centred(_kernel_factor(kx, xs)), _centred(_kernel_factor(ky, ys))
+    return float(np.square(A @ B.T).sum()) / len(xs) ** 2
 
 
 def _column_labels(R: np.ndarray) -> np.ndarray:
@@ -342,20 +449,18 @@ def _exact_tie_test(A: np.ndarray, B: np.ndarray):
     return ties
 
 
-def _hsic_permuted(K: np.ndarray, L: np.ndarray, perms: int, seed: int):
-    """HSIC at the identity order and at seeded permutations of L's rows,
-    all by one formula, ||A B[:, p]^T||_F^2 / m^2 for K ~ F^T F, L ~ G^T G,
-    A = F H and B = G H, with one matmul per block of permutations.
+def _hsic_permuted(A: np.ndarray, B: np.ndarray, perms: int, seed: int):
+    """HSIC at the identity order and at seeded permutations of the second
+    sample, all by one formula, ||A B[:, p]^T||_F^2 / m^2 for the centred
+    factors A = F H of K ~ F^T F and B = G H of L ~ G^T G, with one matmul
+    per block of permutations.
 
     A permuted statistic that rounding puts just below the observed one,
     within TIE_RTOL of their bound, is returned equal to it when it ties
     in exact arithmetic (_exact_tie_test), as with a constant sample or
     two discrete ones. Continuous samples make near-ties that are not ties.
     """
-    m = len(L)
-    A, B = _pivoted_cholesky(K), _pivoted_cholesky(L)
-    for R in (A, B):
-        R -= R.mean(axis=1, keepdims=True)
+    m = A.shape[1]
     Bt = np.ascontiguousarray(B.T)
 
     def statistics(block):
@@ -397,11 +502,11 @@ def hsic_test(
         kx = GaussianKernel(median_heuristic(xs))
     if ky is None:
         ky = GaussianKernel(median_heuristic(ys))
-    K, L = gram(kx, xs), gram(ky, ys)
-    observed, perm_stats = _hsic_permuted(K, L, perms, seed)
+    A, B = _centred(_kernel_factor(kx, xs)), _centred(_kernel_factor(ky, ys))
+    observed, perm_stats = _hsic_permuted(A, B, perms, seed)
     return CiTestResult(
         method="hsic",
-        statistic=_hsic_dense(K, L),
+        statistic=observed,
         p_value=_permutation_pvalue(observed, perm_stats),
         cond_set_size=0,
     )
@@ -416,26 +521,37 @@ class KernelRidgeFit:
     kernel: Kernel
     anchors: np.ndarray
     alpha: np.ndarray
+    residuals: np.ndarray  # y - K alpha at the anchors
 
     def predict(self, xs) -> np.ndarray:
         xs = _as_matrix(xs)
-        return self.kernel(xs, self.anchors) @ self.alpha
+        return _row_blocks(self.kernel, xs, self.anchors, lambda g: g @ self.alpha)
+
+
+def _ridge_residuals(R: np.ndarray, ys: np.ndarray, lam: float) -> np.ndarray:
+    """In-sample kernel-ridge residuals y - K alpha = lam alpha for
+    (K + lam I) alpha = y and K ~ R^T R, by the Woodbury identity:
+    lam (R^T R + lam I)^{-1} y = y - R^T (lam I + R R^T)^{-1} R y.
+    ys may hold one response per column."""
+    inner = R @ R.T
+    inner[np.diag_indices_from(inner)] += lam
+    return ys - R.T @ np.linalg.solve(inner, R @ ys)
 
 
 def kernel_ridge_fit(
     xs, ys, kernel: Kernel | None = None, ridge_scale: float = DEFAULT_RIDGE_SCALE
 ) -> KernelRidgeFit:
-    """Solve (K + scale*m*I) alpha = y; bandwidth defaults to the median heuristic."""
+    """Solve (K + scale*m*I) alpha = y on a factor of K; bandwidth defaults
+    to the median heuristic."""
     xs = _as_matrix(xs)
     ys = np.asarray(ys, dtype=float).ravel()
     if len(xs) != len(ys):
         raise UsageError("x and y must have equal length")
     if kernel is None:
         kernel = GaussianKernel(median_heuristic(xs))
-    K = gram(kernel, xs)
     lam = ridge_scale * len(xs)
-    alpha = np.linalg.solve(K + lam * np.eye(len(xs)), ys)
-    return KernelRidgeFit(kernel=kernel, anchors=xs, alpha=alpha)
+    residuals = _ridge_residuals(_kernel_factor(kernel, xs), ys, lam)
+    return KernelRidgeFit(kernel=kernel, anchors=xs, alpha=residuals / lam, residuals=residuals)
 
 
 # ---------------------------------------------------------------------------
@@ -473,12 +589,12 @@ def ci_test(
     if method == "kernel-residual":
         _check_perms(perms)
         if zcols:
-            zmat = data.matrix(zcols)
-            ra = xa - kernel_ridge_fit(zmat, xa).predict(zmat)
-            rb = xb - kernel_ridge_fit(zmat, xb).predict(zmat)
-        else:
-            ra, rb = xa, xb
-        res = hsic_test(None, None, ra, rb, perms=perms, seed=seed)
+            # one factor of the conditioning set's Gram serves both fits
+            zmat = _as_matrix(data.matrix(zcols))
+            lam = DEFAULT_RIDGE_SCALE * len(zmat)
+            factor = _kernel_factor(GaussianKernel(median_heuristic(zmat)), zmat)
+            xa, xb = _ridge_residuals(factor, np.column_stack([xa, xb]), lam).T
+        res = hsic_test(None, None, xa, xb, perms=perms, seed=seed)
         return CiTestResult(
             method="kernel-residual",
             statistic=res.statistic,

@@ -422,6 +422,55 @@ def median_distance_dense(xs, ys=None) -> float:
     return float(np.median(positive))
 
 
+def pivoted_cholesky_of_gram(g):
+    """R with R^T R ~ g by pivoted incomplete Cholesky on the dense Gram g,
+    with the library's stopping rule and entrywise updates."""
+    from causelab.kernels import CHOLESKY_TOL
+
+    residual = np.diag(g).copy()
+    stop = CHOLESKY_TOL * residual.max()
+    rows = []
+    for _ in range(len(g)):
+        pivot = int(np.argmax(residual))
+        if residual[pivot] <= stop:
+            break
+        row = g[pivot].copy()
+        for r in rows:
+            row -= r * r[pivot]
+        row /= math.sqrt(residual[pivot])
+        residual -= row * row
+        rows.append(row)
+    return np.array(rows).reshape(len(rows), len(g))
+
+
+def hsic_dense(K, L) -> float:
+    """(1/m^2) trace(K H L H) with the centering matrix H."""
+    Kc = K - K.mean(axis=0, keepdims=True) - K.mean(axis=1, keepdims=True) + K.mean()
+    return float((Kc * L).sum() / len(L) ** 2)
+
+
+def ridge_residuals_dense(K, ys, lam):
+    """y - K alpha for (K + lam I) alpha = y, by a dense solve."""
+    alpha = np.linalg.solve(K + lam * np.eye(len(K)), ys)
+    return ys - K @ alpha
+
+
+def mmd_permuted_dense(K, m: int, perms: int, seed: int):
+    """Biased MMD^2 w^T K w of the split of K's rows into the first m and
+    the rest, and at `perms` seeded index sets, w being 1/m on the x-set
+    and -1/n elsewhere; one dense quadratic form per split."""
+    size = len(K)
+
+    def stat(order) -> float:
+        w = np.full(size, -1.0 / (size - m))
+        w[order[:m]] = 1.0 / m
+        return float(w @ (K @ w))
+
+    return stat(np.arange(size)), np.array(
+        [stat(p) for p in permutations_by_seed(perms, seed, size)]
+    )
+
+
 def hsic_by_order(K, L):
     """(1/m^2) trace(K H L H) with the centering matrix H, as a function of
     the order in which the rows of L are paired with those of K: one

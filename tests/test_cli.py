@@ -417,6 +417,27 @@ class TestCsvEncoding:
             f"error: {str(path)!r}: not UTF-8: byte 0xe9 at offset {cut}\n"
         )
 
+    def test_non_utf8_graph_file_exit2_with_one_line(self, capsys, tmp_path):
+        path = tmp_path / "bad.json"
+        text = b'{"nodes": ["A", "B", "C\xe9"], "edges": [["A", "B"]]}'
+        path.write_bytes(text)
+        offset = text.index(b"\xe9")
+        code = main(["dsep", str(path), "A", "B"])
+        captured = capsys.readouterr()
+        assert code == 2 and captured.out == ""
+        assert captured.err == f"error: {str(path)!r}: not UTF-8: byte 0xe9 at offset {offset}\n"
+
+    def test_cell_over_the_csv_field_limit_exit2_naming_its_line(self, capsys, tmp_path):
+        path = tmp_path / "long.csv"
+        cell = '"' + "7" * 140_000 + '"'
+        path.write_text(f"T,Y\n1,2.5\n0,{cell}\n1,3.0\n0,1.0\n", encoding="utf-8")
+        code = main(["estimate", "--data", str(path), "--method", "rct", "--y", "Y", "--t", "T"])
+        captured = capsys.readouterr()
+        assert code == 2 and captured.out == ""
+        assert captured.err == (
+            f"error: {str(path)!r}: line 3: field larger than field limit (131072)\n"
+        )
+
     def test_utf8_bom_does_not_rename_the_first_column(self, capsys, tmp_path, xyz_bytes):
         plain, bom = tmp_path / "plain.csv", tmp_path / "bom.csv"
         plain.write_bytes(xyz_bytes)

@@ -205,11 +205,13 @@ class TestHsic:
         m = 1500
         x = rng.normal(size=m)
         y = x + rng.normal(size=m)
-        K = gram(GaussianKernel(median_heuristic(x)), x)
-        L = gram(GaussianKernel(median_heuristic(y)), y)
+        A, B = (
+            kernels._centred(kernels._kernel_factor(GaussianKernel(median_heuristic(v)), v))
+            for v in (x[:, None], y[:, None])
+        )
         tracemalloc.start()
         try:
-            kernels._hsic_permuted(K, L, 100, 0)
+            kernels._hsic_permuted(A, B, 100, 0)
             peak = tracemalloc.get_traced_memory()[1]
         finally:
             tracemalloc.stop()
@@ -221,6 +223,52 @@ class TestHsic:
         monkeypatch.setenv("CAUSELAB_THREADS", "4")
         threaded = hsic_test(None, None, x, y, perms=99, seed=7)
         assert threaded == base
+
+
+def _five_thousand_row_calls():
+    m = 5000
+    rng = np.random.default_rng(8)
+    x = rng.uniform(-1, 1, m)
+    y = x**3 + x + rng.uniform(-0.5, 0.5, m)
+    data = Dataset.from_columns({"X": x, "Y": y, "Z": rng.normal(size=m)})
+    return {
+        "hsic_test": lambda: hsic_test(None, None, x, y, perms=20),
+        "ci_test": lambda: ci_test("kernel-residual", data, "X", "Y", ("Z",), perms=20),
+        "mmd": lambda: mmd(None, x[:2500], y[2500:], perms=20),
+        "anm_direction": lambda: discovery.anm_direction(
+            data, "X", "Y", discovery.DiscoveryConfig(perms=20)
+        ),
+    }
+
+
+@pytest.mark.parametrize("name", sorted(_five_thousand_row_calls()))
+def test_kernel_paths_hold_no_gram_at_5000_rows(name):
+    """One-column tests at 5,000 rows run on low-rank factors: a dense Gram
+    alone would be 191 MiB."""
+    call = _five_thousand_row_calls()[name]
+    tracemalloc.start()
+    try:
+        call()
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert peak < 32 * 2**20
+
+
+def test_byte_cap_refuses_before_allocating(monkeypatch):
+    # every input the old 5,000-row cap took fits: the distances of two
+    # pooled 5,000-row samples, and a full-rank 5,000-row factor or Gram
+    assert 8 * (10_000 * 9_999 // 2) <= kernels.KERNEL_BYTES_CAP
+    assert 8 * 5_000**2 <= kernels.KERNEL_BYTES_CAP
+    with pytest.raises(UsageError, match="dense Gram of 7072 rows needs 400105472 bytes"):
+        gram(LinearKernel(), np.zeros((7072, 1)))
+    with pytest.raises(UsageError, match="median heuristic of 10001 rows"):
+        median_heuristic(np.zeros((5001, 2)), np.zeros((5000, 2)))
+    monkeypatch.setattr(kernels, "KERNEL_BYTES_CAP", 8 * 100 * 10)
+    xs = np.arange(100.0)[:, None]
+    assert kernels._kernel_factor(GaussianKernel(0.01), xs[:10]).shape == (10, 10)
+    with pytest.raises(UsageError, match="kernel factor of 100 rows needs 8800 bytes"):
+        kernels._kernel_factor(GaussianKernel(0.01), xs)
 
 
 def test_gaussian_kernel_without_coordinates_is_one():
@@ -282,6 +330,7 @@ def test_perms_checked_before_any_gram_or_fit(name, monkeypatch):
         (kernels, "median_heuristic"),
         (kernels, "kernel_ridge_fit"),
         (discovery, "kernel_ridge_fit"),  # bound by name at import
+        (kernels, "_kernel_factor"),
     ]:
         monkeypatch.setattr(module, attr, refuse)
     with pytest.raises(UsageError, match="perms must be >= 1, got 0"):

@@ -37,12 +37,18 @@ from causelab.kernels import (
     GaussianKernel,
     LinearKernel,
     PolynomialKernel,
+    _centred,
     _hsic_permuted,
-    _pivoted_cholesky,
+    _kernel_factor,
+    _mmd_permuted,
+    _ridge_residuals,
     _sq_distances,
     gram,
+    hsic_statistic,
     hsic_test,
+    kernel_ridge_fit,
     median_heuristic,
+    mmd,
     vc_bound,
 )
 from causelab.scm import sample
@@ -54,11 +60,16 @@ from oracles import (
     dataset_from_csv_by_cells,
     directed_paths,
     dsep_by_paths,
+    hsic_dense,
     hsic_permuted_dense,
     hsic_pvalue_two_valued,
     median_distance_dense,
     meek_closure_by_tuple_scans,
+    mmd_permuted_dense,
+    permutations_by_seed,
     pc_skeleton_by_seen_tuples,
+    pivoted_cholesky_of_gram,
+    ridge_residuals_dense,
     sgs_skeleton_by_pairs,
     sq_distances_by_loop,
     topological_order_by_rescan,
@@ -383,17 +394,19 @@ class _Messages(logging.Handler):
 @given(mixed_graphs())
 def test_meek_closure_matches_tuple_scan_reference(graph):
     n, directed, undirected = graph
+    names = [f"X{k}" for k in range(n)]
     handler = _Messages()
     log = logging.getLogger("causelab.graph")
     log.addHandler(handler)
     try:
-        got = meek_closure(n, directed, undirected)
+        got = meek_closure(names, directed, undirected)
     finally:
         log.removeHandler(handler)
     want_dir, want_und, skipped = meek_closure_by_tuple_scans(n, directed, undirected)
     assert got == (want_dir, want_und)
     assert handler.messages == [
-        f"skipping orientation {i}->{j}: would close a directed cycle" for i, j in skipped
+        f"skipping orientation {names[i]}->{names[j]}: would close a directed cycle"
+        for i, j in skipped
     ]
 
 
@@ -402,7 +415,7 @@ def test_meek_closure_matches_tuple_scan_reference(graph):
     st.integers(0, 2**32 - 1),
     st.integers(1, 300),
     st.integers(1, 3),
-    st.sampled_from(["distinct", "rounded", "zeros"]),
+    st.sampled_from(["distinct", "rounded", "zeros", "subnormal-squares"]),
     st.booleans(),
 )
 def test_median_heuristic_matches_dense_bitwise(seed, m, d, ties, pooled):
@@ -412,7 +425,11 @@ def test_median_heuristic_matches_dense_bitwise(seed, m, d, ties, pooled):
         xs = np.round(xs, 1)
     elif ties == "zeros":
         xs[: m // 2] = 0.0
+    elif ties == "subnormal-squares":
+        xs = np.round(xs, 1) * 1e-161
     ys = rng.normal(size=(int(rng.integers(1, 200)), d)) if pooled else None
+    if ys is not None and ties == "subnormal-squares":
+        ys *= 1e-161
     fast = median_heuristic(xs, ys)
     assert np.float64(fast).tobytes() == np.float64(median_distance_dense(xs, ys)).tobytes()
 
@@ -463,8 +480,10 @@ def hsic_samples(draw):
 @given(hsic_samples(), st.integers(1, 60), st.integers(0, 2**32 - 1))
 def test_hsic_permuted_statistics_match_dense(sample, perms, seed):
     xs, ys, kx, ky = sample
-    K, L = gram(_kernel_named(kx, xs), xs), gram(_kernel_named(ky, ys), ys)
-    observed, stats = _hsic_permuted(K, L, perms, seed)
+    kx, ky = _kernel_named(kx, xs), _kernel_named(ky, ys)
+    K, L = gram(kx, xs), gram(ky, ys)
+    A, B = _centred(_kernel_factor(kx, xs)), _centred(_kernel_factor(ky, ys))
+    observed, stats = _hsic_permuted(A, B, perms, seed)
     dense_observed, dense_stats = hsic_permuted_dense(K, L, perms, seed)
     everything = np.append(dense_stats, dense_observed)
     # a floor on the scale for the rounding-noise statistics of constant columns
@@ -472,6 +491,7 @@ def test_hsic_permuted_statistics_match_dense(sample, perms, seed):
     assert abs(observed - dense_observed) <= 1e-9 * scale
     assert np.abs(stats - dense_stats).max() <= 1e-9 * scale
     assert (stats >= observed).sum() == (dense_stats >= dense_observed).sum()
+    assert abs(hsic_statistic(kx, ky, xs, ys) - hsic_dense(K, L)) <= 1e-9 * scale
 
 
 def test_hsic_near_ties_of_continuous_samples_do_not_count():
@@ -480,7 +500,8 @@ def test_hsic_near_ties_of_continuous_samples_do_not_count():
     rng = np.random.default_rng(22)
     xs, ys = rng.normal(size=(20, 2)), rng.normal(size=(20, 1))
     K, L = (gram(_kernel_named("narrow", v), v) for v in (xs, ys))
-    observed, stats = _hsic_permuted(K, L, 20, 0)
+    A, B = (_centred(_kernel_factor(_kernel_named("narrow", v), v)) for v in (xs, ys))
+    observed, stats = _hsic_permuted(A, B, 20, 0)
     dense_observed, dense_stats = hsic_permuted_dense(K, L, 20, 0)
     gaps = dense_stats - dense_observed
     assert ((gaps < 0) & (gaps > -1e-11)).any()
@@ -520,8 +541,12 @@ def test_pivoted_cholesky_reproduces_gram(seed, m, d, name, duplicated):
     xs = rng.normal(size=(m, d))
     if duplicated:
         xs = xs[rng.integers(0, max(1, m // 3), size=m)]
-    g = gram(_kernel_named(name, xs), xs)
-    rows = _pivoted_cholesky(g)
+    kernel = _kernel_named(name, xs)
+    g = gram(kernel, xs)
+    rows = _kernel_factor(kernel, xs)
+    # built from kernel rows, it is the dense Gram's factor bitwise
+    dense = pivoted_cholesky_of_gram(g)
+    assert rows.shape == dense.shape and rows.tobytes() == dense.tobytes()
     distinct = np.unique(xs, axis=0)
     assert len(rows) <= len(distinct)
     # the stopping bound, plus the rounding of forming R^T R
@@ -532,6 +557,85 @@ def test_pivoted_cholesky_reproduces_gram(seed, m, d, name, duplicated):
     for k in range(group.max() + 1):
         same = rows[:, group.ravel() == k]
         assert (same == same[:, :1]).all()
+
+
+def test_median_heuristic_keeps_subnormal_squares():
+    """A distance is sqrt(fl(d^2)): differences whose square is subnormal
+    come out other than |d|, and those whose square underflows count as
+    zero. The sorted one-column selection keeps both."""
+    xs = np.array([0.0, 1e-162, 3e-162, 7e-162, 2.5e-161, 6e-161, 1.1e-160])
+    d = np.abs(np.subtract.outer(xs, xs))[np.triu_indices(len(xs), 1)]
+    rounded = np.sqrt(np.square(d))
+    assert (rounded != d).any() and (rounded == 0).any() and (d > 0).all()
+    fast = median_heuristic(xs)
+    assert fast == median_distance_dense(xs) == float(np.median(rounded[rounded > 0]))
+    assert fast != float(np.median(d))
+
+
+@settings(max_examples=80, deadline=None)
+@given(
+    st.integers(0, 2**32 - 1),
+    st.integers(2, 60),
+    st.integers(2, 60),
+    st.integers(1, 2),
+    st.sampled_from(["gaussian", "linear", "poly2"]),
+    st.integers(1, 200),
+    st.integers(0, 2**32 - 1),
+)
+def test_mmd_matches_dense_quadratic_forms(data_seed, m, n, d, name, perms, seed):
+    """Factor-form MMD against one dense quadratic form per split: equal
+    counts, statistics within 1e-9 of their scale, and splits with the
+    same x-set bitwise-equal (few points make them common)."""
+    assume(m != n)  # with m = n a split and its complement tie in exact arithmetic
+    rng = np.random.default_rng(data_seed)
+    xs, ys = rng.normal(size=(m, d)), rng.normal(0.5, 1.0, size=(n, d))
+    pool = np.vstack([xs, ys])
+    kernel = _kernel_named(name, pool)
+    K = gram(kernel, pool)
+    observed, stats = _mmd_permuted(_kernel_factor(kernel, pool), m, perms, seed)
+    dense_observed, dense_stats = mmd_permuted_dense(K, m, perms, seed)
+    scale = max(np.abs(np.append(dense_stats, dense_observed)).max(), np.abs(K).max() * 1e-6)
+    assert abs(observed - dense_observed) <= 1e-9 * scale
+    assert np.abs(stats - dense_stats).max() <= 1e-9 * scale
+    assert (stats >= observed).sum() == (dense_stats >= dense_observed).sum()
+    by_set = {}
+    for order, stat in zip(permutations_by_seed(perms, seed, m + n), stats):
+        by_set.setdefault(frozenset(order[:m].tolist()), set()).add(stat)
+    by_set.setdefault(frozenset(range(m)), set()).add(observed)
+    assert all(len(values) == 1 for values in by_set.values())
+    res = mmd(kernel, xs, ys, perms=perms, seed=seed)
+    assert res.statistic == max(observed, 0.0)
+    unbiased = (
+        (K[:m, :m].sum() - np.trace(K[:m, :m])) / (m * (m - 1))
+        + (K[m:, m:].sum() - np.trace(K[m:, m:])) / (n * (n - 1))
+        - 2 * K[:m, m:].mean()
+    )
+    assert abs(res.unbiased - unbiased) <= 1e-9 * max(abs(unbiased), np.abs(K).max() * 1e-6)
+
+
+@settings(max_examples=60, deadline=None)
+@given(
+    st.integers(0, 2**32 - 1),
+    st.integers(2, 300),
+    st.integers(1, 3),
+    st.sampled_from(["gaussian", "narrow", "poly2"]),
+    st.sampled_from([1e-3, 1e-1, 1.0]),
+)
+def test_ridge_residuals_match_dense_solve(seed, m, d, name, scale):
+    """Woodbury on the factor against a dense (K + lam I) solve, in-sample
+    residuals within 1e-9 of their largest; and the fit's predictions on
+    its own points give those residuals."""
+    rng = np.random.default_rng(seed)
+    xs = rng.normal(size=(m, d))
+    ys = np.sin(2 * xs[:, 0]) + 0.3 * rng.normal(size=m)
+    kernel = _kernel_named(name, xs)
+    lam = scale * m
+    dense = ridge_residuals_dense(gram(kernel, xs), ys, lam)
+    fast = _ridge_residuals(_kernel_factor(kernel, xs), ys, lam)
+    largest = np.abs(dense).max()
+    assert np.abs(fast - dense).max() <= 1e-9 * largest
+    fit = kernel_ridge_fit(xs, ys, kernel, ridge_scale=scale)
+    assert np.abs((ys - fit.predict(xs)) - dense).max() <= 1e-9 * max(largest, np.abs(ys).max())
 
 
 @st.composite

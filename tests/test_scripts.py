@@ -16,6 +16,7 @@ ROOT = Path(__file__).resolve().parent.parent
         ("run_discovery_demo.py", ["--n", "300"]),
         ("run_estimator_sweep.py", ["--n", "500"]),
         ("run_kernel_calibration.py", ["--trials", "4", "--m", "30", "--perms", "19"]),
+        ("run_anm_sweep.py", ["--seeds", "2", "--n", "200", "--perms", "19"]),
     ],
 )
 def test_script_exits_zero(script, args):
