@@ -5,7 +5,8 @@ JSON document on stdout (optionally also written with --out). Exit
 codes: 0 success, 2 usage or parse error, 3 method precondition failure
 (weak instrument, overlap violation, separation, non-abducible model,
 a non-finite result). Seeded subcommands are bit-reproducible: identical
-invocations produce byte-identical outputs.
+invocations produce byte-identical outputs. Each handler imports the
+library modules it runs, so a subcommand loads only those.
 """
 
 from __future__ import annotations
@@ -15,28 +16,8 @@ import json
 import os
 import sys
 
-import numpy as np
-
-from . import discovery, estimation, kernels
 from .data import Dataset, _first_undecodable, write_atomic
 from .errors import PreconditionError, UsageError
-from .graph import (
-    _colliders,
-    cpdag_to_json,
-    d_separated,
-    dag_from_json,
-    count_dags,
-    enumerate_adjustment_sets,
-)
-from .scenarios import SCENARIOS, get_scenario
-from .scm import (
-    Intervention,
-    counterfactual,
-    intervene,
-    interventional_mean,
-    sample,
-    scm_from_json,
-)
 
 
 def _read_text(path: str) -> str:
@@ -86,8 +67,10 @@ def _load_dataset(path: str) -> Dataset:
 
 
 def cmd_dsep(args) -> dict:
-    g = dag_from_json(_read_text(args.graph))
-    verdict = d_separated(g, [args.a], [args.b], args.given or [])
+    from . import graph
+
+    g = graph.dag_from_json(_read_text(args.graph))
+    verdict = graph.d_separated(g, [args.a], [args.b], args.given or [])
     return {
         "d_separated": bool(verdict),
         "a": args.a,
@@ -97,8 +80,10 @@ def cmd_dsep(args) -> dict:
 
 
 def cmd_adjust(args) -> dict:
-    g = dag_from_json(_read_text(args.graph))
-    result = enumerate_adjustment_sets(g, args.treatment, args.outcome)
+    from . import graph
+
+    g = graph.dag_from_json(_read_text(args.graph))
+    result = graph.enumerate_adjustment_sets(g, args.treatment, args.outcome)
     return {
         "treatment": args.treatment,
         "outcome": args.outcome,
@@ -109,30 +94,36 @@ def cmd_adjust(args) -> dict:
 
 
 def cmd_count_dags(args) -> dict:
-    return {"n": args.n, "count": count_dags(args.n)}
+    from . import graph
+
+    return {"n": args.n, "count": graph.count_dags(args.n)}
 
 
 def cmd_simulate(args) -> dict:
-    m = scm_from_json(_read_text(args.scm))
-    data = sample(m, args.n, args.seed)
+    from . import scm
+
+    m = scm.scm_from_json(_read_text(args.scm))
+    data = scm.sample(m, args.n, args.seed)
     data.to_csv(args.out)
     return {"rows": data.n, "columns": list(data.columns), "out": args.out, "seed": args.seed}
 
 
 def cmd_intervene(args) -> dict:
-    m = scm_from_json(_read_text(args.scm))
-    iv = Intervention(_parse_assignments(args.set))
+    from . import scm
+
+    m = scm.scm_from_json(_read_text(args.scm))
+    iv = scm.Intervention(_parse_assignments(args.set))
     payload: dict = {
         "intervention": {k: v for k, v in sorted(iv.assignments.items())},
         "n": args.n,
         "seed": args.seed,
     }
     if args.out:
-        data = sample(intervene(m, iv), args.n, args.seed)
+        data = scm.sample(scm.intervene(m, iv), args.n, args.seed)
         data.to_csv(args.out)
         payload["out"] = args.out
     if args.target:
-        mc = interventional_mean(m, iv, args.target, args.n, args.seed)
+        mc = scm.interventional_mean(m, iv, args.target, args.n, args.seed)
         payload.update({"target": args.target, "mean": mc.value, "stderr": mc.stderr})
     if not args.out and not args.target:
         raise UsageError("provide --target and/or --out")
@@ -140,10 +131,12 @@ def cmd_intervene(args) -> dict:
 
 
 def cmd_counterfactual(args) -> dict:
-    m = scm_from_json(_read_text(args.scm))
+    from . import scm
+
+    m = scm.scm_from_json(_read_text(args.scm))
     evidence = _parse_assignments(args.evidence)
-    iv = Intervention(_parse_assignments(args.set))
-    dist = counterfactual(m, evidence, iv, args.target)
+    iv = scm.Intervention(_parse_assignments(args.set))
+    dist = scm.counterfactual(m, evidence, iv, args.target)
     return {
         "target": args.target,
         "intervention": {k: v for k, v in sorted(iv.assignments.items())},
@@ -160,6 +153,8 @@ def _truth_path(out: str) -> str:
 
 
 def cmd_generate(args) -> dict:
+    from .scenarios import get_scenario
+
     scenario = get_scenario(args.scenario)
     data, truth = scenario.generate(args.n, args.seed)
     data.to_csv(args.out)
@@ -176,6 +171,8 @@ def cmd_generate(args) -> dict:
 
 
 def cmd_discover(args) -> dict:
+    from . import discovery, graph
+
     data = _load_dataset(args.data)
     cfg = discovery.DiscoveryConfig(
         ci_method=args.ci,
@@ -197,9 +194,9 @@ def cmd_discover(args) -> dict:
             "method": args.method,
             "skeleton": sorted(sorted(e) for e in skel.edges),
             "v_structures": sorted(
-                list(v) for v in _colliders(cpdag.nodes, cpdag.directed, skel.edges)
+                list(v) for v in graph._colliders(cpdag.nodes, cpdag.directed, skel.edges)
             ),
-            "cpdag": json.loads(cpdag_to_json(cpdag)),
+            "cpdag": json.loads(graph.cpdag_to_json(cpdag)),
             "separating_sets": {
                 f"{a},{b}": sorted(s) for (a, b), s in sorted(skel.sepsets.items())
             },
@@ -242,6 +239,8 @@ def cmd_discover(args) -> dict:
 
 
 def cmd_estimate(args) -> dict:
+    from . import estimation
+
     data = _load_dataset(args.data)
     method = args.method
     if method != "rdd" and not args.t:
@@ -266,7 +265,8 @@ def cmd_estimate(args) -> dict:
             if not z:
                 raise UsageError("ipw requires --z (or --propensity-column)")
             prop = estimation.fit_propensity(data, args.t, z)
-        est = estimation.ate_ipw(data, args.y, args.t, z, prop, clip=args.clip)
+        clip = estimation.DEFAULT_CLIP if args.clip is None else args.clip
+        est = estimation.ate_ipw(data, args.y, args.t, z, prop, clip=clip)
     elif method == "front-door":
         if not args.mediator:
             raise UsageError("front-door requires --mediator")
@@ -298,7 +298,17 @@ def cmd_estimate(args) -> dict:
     return payload
 
 
+def _perms(args) -> int:
+    """--perms, or the kernel tests' default."""
+    from . import kernels
+
+    return kernels.DEFAULT_PERMUTATIONS if args.perms is None else args.perms
+
+
 def cmd_test_ci(args) -> dict:
+    from . import kernels
+
+    kernels._check_alpha(args.alpha)
     data = _load_dataset(args.data)
     res = kernels.ci_test(
         args.method,
@@ -306,7 +316,7 @@ def cmd_test_ci(args) -> dict:
         args.a,
         args.b,
         tuple(args.given or ()),
-        perms=args.perms,
+        perms=_perms(args),
         seed=args.seed,
     )
     return {
@@ -324,13 +334,15 @@ def cmd_test_ci(args) -> dict:
 
 
 def cmd_mmd(args) -> dict:
+    from . import kernels
+
     d1 = _load_dataset(args.data1)
     d2 = _load_dataset(args.data2)
     res = kernels.mmd(
         None,
         d1.matrix(d1.columns),
         d2.matrix(d2.columns),
-        perms=args.perms,
+        perms=_perms(args),
         seed=args.seed,
     )
     return {
@@ -343,13 +355,16 @@ def cmd_mmd(args) -> dict:
 
 
 def cmd_hsic(args) -> dict:
+    from . import kernels
+
     data = _load_dataset(args.data)
+    perms = _perms(args)
     res = kernels.hsic_test(
         None,
         None,
         data.column(args.x),
         data.column(args.y),
-        perms=args.perms,
+        perms=perms,
         seed=args.seed,
     )
     return {
@@ -357,12 +372,14 @@ def cmd_hsic(args) -> dict:
         "y": args.y,
         "statistic": res.statistic,
         "p_value": res.p_value,
-        "permutations": args.perms,
+        "permutations": perms,
         "seed": args.seed,
     }
 
 
 def cmd_vc_bound(args) -> dict:
+    from . import kernels
+
     value = kernels.vc_bound(args.r_emp, args.h, args.m, args.delta)
     return {
         "r_emp": args.r_emp,
@@ -429,7 +446,7 @@ def build_parser() -> argparse.ArgumentParser:
     p.set_defaults(handler=cmd_counterfactual)
 
     p = sub.add_parser("generate", help="scenario dataset plus ground-truth file")
-    p.add_argument("--scenario", required=True, choices=sorted(SCENARIOS))
+    p.add_argument("--scenario", required=True)
     p.add_argument("--n", type=int, required=True)
     p.add_argument("--seed", type=int, required=True)
     p.add_argument("--out", required=True)
@@ -470,7 +487,7 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--epsilon", type=float, default=0.1)
     p.add_argument("--regressor", default="linear", choices=["linear", "kernel-ridge"])
     p.add_argument("--propensity-column")
-    p.add_argument("--clip", type=float, default=estimation.DEFAULT_CLIP)
+    p.add_argument("--clip", type=float)
     p.add_argument("--seed", type=int)
     p.add_argument("--out")
     p.set_defaults(handler=cmd_estimate)
@@ -483,7 +500,7 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--method", default="partial-correlation",
                    choices=["partial-correlation", "kernel-residual"])
     p.add_argument("--alpha", type=float, default=0.05)
-    p.add_argument("--perms", type=int, default=kernels.DEFAULT_PERMUTATIONS)
+    p.add_argument("--perms", type=int)
     p.add_argument("--seed", type=int, default=0)
     p.add_argument("--out")
     p.set_defaults(handler=cmd_test_ci)
@@ -491,7 +508,7 @@ def build_parser() -> argparse.ArgumentParser:
     p = sub.add_parser("mmd", help="kernel two-sample test between two CSV files")
     p.add_argument("--data1", required=True)
     p.add_argument("--data2", required=True)
-    p.add_argument("--perms", type=int, default=kernels.DEFAULT_PERMUTATIONS)
+    p.add_argument("--perms", type=int)
     p.add_argument("--seed", type=int, required=True)
     p.add_argument("--out")
     p.set_defaults(handler=cmd_mmd)
@@ -500,7 +517,7 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--data", required=True)
     p.add_argument("--x", required=True)
     p.add_argument("--y", required=True)
-    p.add_argument("--perms", type=int, default=kernels.DEFAULT_PERMUTATIONS)
+    p.add_argument("--perms", type=int)
     p.add_argument("--seed", type=int, required=True)
     p.add_argument("--out")
     p.set_defaults(handler=cmd_hsic)

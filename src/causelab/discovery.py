@@ -23,7 +23,7 @@ import numpy as np
 from .data import Dataset
 from .errors import PreconditionError, UsageError
 from .graph import Cpdag, Dag, enumerate_dags
-from .kernels import _check_perms, ci_test, hsic_test, kernel_ridge_fit
+from .kernels import CiTester, _check_alpha, _check_perms, hsic_test, kernel_ridge_fit
 from . import graph as graph_mod
 
 logger = logging.getLogger(__name__)
@@ -44,8 +44,7 @@ class DiscoveryConfig:
     oracle_graph: Dag | None = None
 
     def __post_init__(self):
-        if not 0.0 < self.alpha < 1.0:
-            raise UsageError("alpha must lie in (0, 1)")
+        _check_alpha(self.alpha)
         if self.max_cond_size < 0:
             raise UsageError(f"max_cond_size must be >= 0, got {self.max_cond_size}")
         if self.ci_method == "oracle" and self.oracle_graph is None:
@@ -79,10 +78,11 @@ def _decision_fn(data: Dataset | None, cfg: DiscoveryConfig, nodes: tuple[str, .
     if data is None:
         raise UsageError("data required unless using the oracle CI mode")
 
+    ci = CiTester(data)
+
     def tester(i, j, zs):
-        res = ci_test(
+        res = ci.test(
             cfg.ci_method,
-            data,
             nodes[i],
             nodes[j],
             tuple(nodes[k] for k in zs),

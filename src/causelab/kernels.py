@@ -12,7 +12,9 @@ on one low-rank factor R per sample, R^T R ~ the Gram, built by pivoted
 incomplete Cholesky from one kernel row per pivot (Fine & Scheinberg
 2001; Bach & Jordan 2002); ridge residuals by the Woodbury identity.
 KERNEL_BYTES_CAP bounds a factor's rows and a multi-column median
-heuristic's distances, checked before allocating.
+heuristic's distances, checked before allocating. Partial correlations
+come from one triangular factor of a dataset's centred columns
+(CiTester), with no pass over the rows per test.
 """
 
 from __future__ import annotations
@@ -296,6 +298,12 @@ def _check_perms(perms: int) -> None:
         raise UsageError(f"perms must be >= 1, got {perms}")
 
 
+def _check_alpha(alpha: float) -> None:
+    """A significance level lies strictly between 0 and 1; NaN does not."""
+    if not 0.0 < alpha < 1.0:
+        raise UsageError("alpha must lie in (0, 1)")
+
+
 def _run_permutations(
     block_stats, perms: int, seed: int, n: int, row_bytes: int
 ) -> np.ndarray:
@@ -559,6 +567,61 @@ def kernel_ridge_fit(
 
 
 MAX_COND_SET = 4
+# a residual variance at most this fraction of the variable's own is
+# rounding error: the variable is a linear function of the conditioning set
+RESIDUAL_RTOL = 1e-10
+
+
+class CiTester:
+    """Conditional-independence tests on one dataset.
+
+    Partial correlations come from one centred cross-product matrix
+    S = Xc^T Xc = R^T R of the dataset's columns, held as the triangular
+    factor R of Xc and computed on the first such test: each test takes
+    the residual covariance of (a, b) given z, the Schur complement of z
+    in S (Kalisch & Bühlmann 2007), from R's columns, so its cost does not
+    grow with the number of rows.
+    """
+
+    def __init__(self, data: Dataset):
+        self.data = data
+        self._index = {name: k for k, name in enumerate(data.columns)}
+        self._factor = None
+
+    def test(
+        self,
+        method: str,
+        a: str,
+        b: str,
+        z: tuple[str, ...] | list[str] = (),
+        perms: int = DEFAULT_PERMUTATIONS,
+        seed: int = 0,
+        max_cond: int = MAX_COND_SET,
+    ) -> CiTestResult:
+        """Test a ⫫ b | z, as ci_test does."""
+        zcols = tuple(z)
+        if len(zcols) > max_cond:
+            raise UsageError(f"conditioning set of {len(zcols)} exceeds max {max_cond}")
+        for name in (a, b, *zcols):
+            self.data.column(name)  # an unknown name is a usage error
+        if method == "partial-correlation":
+            return self._partial_correlation(a, b, zcols)
+        if method == "kernel-residual":
+            return _kernel_residual_test(self.data, a, b, zcols, perms, seed)
+        raise UsageError(f"unknown CI test method {method!r}")
+
+    def _partial_correlation(self, a: str, b: str, zcols: tuple[str, ...]) -> CiTestResult:
+        n, k = self.data.n, len(zcols)
+        if n - k - 3 <= 0:
+            raise UsageError(f"need more than {k + 3} rows for |z| = {k}")
+        if self._factor is None:
+            xs = self.data.matrix(self.data.columns)
+            xc = xs - xs.mean(axis=0)
+            # a constant column centres to zero, not to its mean's rounding
+            xc[:, xs.min(axis=0) == xs.max(axis=0)] = 0.0
+            self._factor = np.linalg.qr(xc, mode="r")
+        idx = [self._index[name] for name in (a, b, *zcols)]
+        return _partial_correlation_test(self._factor.T[idx], n, k)
 
 
 def ci_test(
@@ -578,47 +641,60 @@ def ci_test(
     after regressing each on z (plain HSIC when z is empty). The
     residual construction is this library's documented choice; it is
     validated empirically, not prescribed by theory.
+
+    One test reads only the columns it names; a CiTester answers many
+    tests on one dataset.
     """
-    zcols = tuple(z)
-    if len(zcols) > max_cond:
-        raise UsageError(f"conditioning set of {len(zcols)} exceeds max {max_cond}")
+    named = data.subset(tuple(dict.fromkeys((a, b, *z))))
+    return CiTester(named).test(method, a, b, z, perms, seed, max_cond)
+
+
+def _kernel_residual_test(
+    data: Dataset, a: str, b: str, zcols: tuple[str, ...], perms: int, seed: int
+) -> CiTestResult:
+    _check_perms(perms)
     xa = data.column(a).astype(float)
     xb = data.column(b).astype(float)
-    if method == "partial-correlation":
-        return _partial_correlation_test(xa, xb, data.matrix(zcols), len(zcols))
-    if method == "kernel-residual":
-        _check_perms(perms)
-        if zcols:
-            # one factor of the conditioning set's Gram serves both fits
-            zmat = _as_matrix(data.matrix(zcols))
-            lam = DEFAULT_RIDGE_SCALE * len(zmat)
-            factor = _kernel_factor(GaussianKernel(median_heuristic(zmat)), zmat)
-            xa, xb = _ridge_residuals(factor, np.column_stack([xa, xb]), lam).T
-        res = hsic_test(None, None, xa, xb, perms=perms, seed=seed)
-        return CiTestResult(
-            method="kernel-residual",
-            statistic=res.statistic,
-            p_value=res.p_value,
-            cond_set_size=len(zcols),
-        )
-    raise UsageError(f"unknown CI test method {method!r}")
+    if zcols:
+        # one factor of the conditioning set's Gram serves both fits
+        zmat = _as_matrix(data.matrix(zcols))
+        lam = DEFAULT_RIDGE_SCALE * len(zmat)
+        factor = _kernel_factor(GaussianKernel(median_heuristic(zmat)), zmat)
+        xa, xb = _ridge_residuals(factor, np.column_stack([xa, xb]), lam).T
+    res = hsic_test(None, None, xa, xb, perms=perms, seed=seed)
+    return CiTestResult(
+        method="kernel-residual",
+        statistic=res.statistic,
+        p_value=res.p_value,
+        cond_set_size=len(zcols),
+    )
 
 
-def _partial_correlation_test(
-    xa: np.ndarray, xb: np.ndarray, zmat: np.ndarray, k: int
-) -> CiTestResult:
-    n = len(xa)
-    if n - k - 3 <= 0:
-        raise UsageError(f"need more than {k + 3} rows for |z| = {k}")
-    design = np.column_stack([np.ones(n), zmat]) if k else np.ones((n, 1))
-    beta_a, *_ = np.linalg.lstsq(design, xa, rcond=None)
-    beta_b, *_ = np.linalg.lstsq(design, xb, rcond=None)
-    ra = xa - design @ beta_a
-    rb = xb - design @ beta_b
-    denom = math.sqrt(float(ra @ ra) * float(rb @ rb))
-    if denom == 0.0:
+def _partial_correlation_test(vs: np.ndarray, n: int, k: int) -> CiTestResult:
+    """Fisher-z test of the partial correlation of variables 0 and 1 given
+    the rest, over n rows, from rows vs whose inner products are their
+    centred cross-products; k is the conditioning set's size as named.
+
+    Modified Gram-Schmidt takes each conditioning variable's component out
+    of the rows, one variable at a time, which leaves the Schur complement
+    of the conditioning set as the inner products of the first two rows.
+    It works on the rows, not on their products, so the conditioning set's
+    condition number is not squared. A variable whose residual variance is
+    rounding is spanned by the earlier ones and adds nothing, as in a
+    least-squares fit on a rank-deficient design.
+    """
+    own = np.einsum("ij,ij->i", vs, vs)
+    for z in range(2, len(vs)):
+        proj = vs @ vs[z]
+        norm = float(proj[z])
+        if norm > RESIDUAL_RTOL * own[z]:
+            proj /= norm
+            vs = vs - proj[:, None] * vs[z]
+    va, vb = vs[0], vs[1]
+    var_a, var_b = float(va @ va), float(vb @ vb)
+    if not (var_a > RESIDUAL_RTOL * own[0] and var_b > RESIDUAL_RTOL * own[1]):
         raise PreconditionError("degenerate residuals: singular covariance")
-    r = float(ra @ rb) / denom
+    r = float(va @ vb) / math.sqrt(var_a * var_b)
     r = max(min(r, 1.0), -1.0)
     if abs(r) >= 1.0:
         return CiTestResult("partial-correlation", float("inf"), 0.0, k)

@@ -13,10 +13,14 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
-from .cgm import cgm_from_scm, interventional_marginal
+# The CLI imports this module on first use, perhaps while another module's
+# functions are wrapped in place (as a tracer does), so functions are
+# called through their modules and never bound here by name.
+from . import cgm as cgm_mod
+from . import graph as graph_mod
+from . import scm as scm_mod
 from .data import Dataset
 from .errors import UsageError
-from .graph import dag_to_json
 from .scm import (
     BinOp,
     Const,
@@ -30,8 +34,6 @@ from .scm import (
     Unary,
     UniformNoise,
     Var,
-    induced_graph,
-    sample,
 )
 
 
@@ -45,7 +47,7 @@ class Scenario:
     reveal: tuple[str, ...] = field(default=())
 
     def generate(self, n: int, seed: int) -> tuple[Dataset, dict]:
-        full = sample(self.scm, n, seed)
+        full = scm_mod.sample(self.scm, n, seed)
         data = full.subset(self.observed)
         truth = {
             "scenario": self.name,
@@ -130,7 +132,7 @@ def make_genes_confounded() -> Scenario:
         observed=("A", "B", "Y"),
         params={"weight": w},
         truth={
-            "graph": dag_to_json(induced_graph(scm)),
+            "graph": graph_mod.dag_to_json(scm_mod.induced_graph(scm)),
             "latent": ["H"],
             "baseline_mean_Y": 3.0,
             "knockout_A_mean_Y": 1.5,
@@ -169,7 +171,7 @@ def make_simpson_reversal() -> Scenario:
         observed=("Z", "T", "Y"),
         params={"effect": effect, "confound": confound},
         truth={
-            "graph": dag_to_json(induced_graph(scm)),
+            "graph": graph_mod.dag_to_json(scm_mod.induced_graph(scm)),
             "true_ate": effect,
             "adjustment_set": ["Z"],
             "aggregate_sign": -1,
@@ -207,7 +209,7 @@ def make_faithfulness_violation(beta: float = -0.5) -> Scenario:
         observed=("X1", "X2", "X3"),
         params={"alpha": alpha, "beta": beta, "gamma": gamma},
         truth={
-            "graph": dag_to_json(induced_graph(scm)),
+            "graph": graph_mod.dag_to_json(scm_mod.induced_graph(scm)),
             "beta_plus_alpha_gamma": cancel,
             "marginally_independent_pair": ["X1", "X3"] if cancel == 0 else None,
         },
@@ -229,10 +231,10 @@ def make_frontdoor() -> Scenario:
         mechanisms={"H": mech_h, "T": mech_t, "M": mech_m, "Y": mech_y},
         noises={"H": noise_h, "T": noise_t, "M": noise_m, "Y": noise_y},
     )
-    cgm = cgm_from_scm(scm)
+    cgm = cgm_mod.cgm_from_scm(scm)
     means = {}
     for tval in (0.0, 1.0):
-        p_y = interventional_marginal(cgm, "Y", {"T": tval})
+        p_y = cgm_mod.interventional_marginal(cgm, "Y", {"T": tval})
         means[tval] = float(p_y[1])  # Y binary: mean = p(Y=1)
     from .cgm import cgm_to_json
 
@@ -242,7 +244,7 @@ def make_frontdoor() -> Scenario:
         observed=("T", "M", "Y"),
         params={},
         truth={
-            "graph": dag_to_json(induced_graph(scm)),
+            "graph": graph_mod.dag_to_json(scm_mod.induced_graph(scm)),
             "latent": ["H"],
             "true_ate": means[1.0] - means[0.0],
             "do_means": {"0": means[0.0], "1": means[1.0]},
@@ -274,7 +276,7 @@ def make_iv_linear(a=1.0, b=1.0, c=1.0, d=2.0) -> Scenario:
         observed=("I", "T", "Y"),
         params={"a": a, "b": b, "c": c, "d": d},
         truth={
-            "graph": dag_to_json(induced_graph(scm)),
+            "graph": graph_mod.dag_to_json(scm_mod.induced_graph(scm)),
             "latent": ["H"],
             "true_ate": d,
             "naive_ols_slope": naive,
@@ -312,7 +314,7 @@ def make_halfsibling(n_siblings: int = 10) -> Scenario:
         observed=("Y",) + sib_names,
         params={"n_siblings": n_siblings, "systematics_coef": 2.0},
         truth={
-            "graph": dag_to_json(induced_graph(scm)),
+            "graph": graph_mod.dag_to_json(scm_mod.induced_graph(scm)),
             "latent": ["Q", "Sig"],
             "signal_column": "Sig",
         },
@@ -341,7 +343,7 @@ def make_anm_nonlinear() -> Scenario:
         observed=("X", "Y"),
         params={},
         truth={
-            "graph": dag_to_json(induced_graph(scm)),
+            "graph": graph_mod.dag_to_json(scm_mod.induced_graph(scm)),
             "direction": "forward",
             "cause": "X",
             "effect": "Y",

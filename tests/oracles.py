@@ -561,3 +561,45 @@ def dataset_from_csv_by_cells(path):
                     f"{path!r}: line {r + 2}, column {c + 1}: not a number: {cell!r}"
                 ) from None
     return Dataset.from_columns({name: parsed[:, c] for c, name in enumerate(header)})
+
+
+def partial_correlation_lstsq(data, a, b, z=()):
+    """Fisher-z test of the partial correlation of a and b given z, from
+    least-squares residuals of each on the design [1, z] over all rows.
+    Every column is centred first, which keeps a shifted column's fit as
+    accurate as an unshifted one's. The design's columns are scaled to unit
+    norm, and a direction of relative singular value below
+    sqrt(RESIDUAL_RTOL) is rank deficiency: z = (x, 3x + 1) spans what x
+    spans, however fl(3x + 1) rounds.
+
+    A variable whose residuals are rounding of it (a constant, or a linear
+    function of z) is degenerate, by the library's RESIDUAL_RTOL.
+    """
+    from causelab.errors import PreconditionError, UsageError
+    from causelab.kernels import RESIDUAL_RTOL, CiTestResult
+
+    def centred(x):
+        return x - x.mean(axis=0)
+
+    xa, xb = data.column(a), data.column(b)
+    n, k = len(xa), len(z)
+    if n - k - 3 <= 0:
+        raise UsageError(f"need more than {k + 3} rows for |z| = {k}")
+    design = np.column_stack([np.ones(n), centred(data.matrix(z))])
+    norms = np.linalg.norm(design, axis=0)
+    design /= np.where(norms > 0, norms, 1.0)
+    residuals = []
+    for x in (xa, xb):
+        xc = centred(x)
+        beta, *_ = np.linalg.lstsq(design, xc, rcond=math.sqrt(RESIDUAL_RTOL))
+        r = xc - design @ beta
+        if np.ptp(x) == 0 or float(r @ r) <= RESIDUAL_RTOL * float(xc @ xc):
+            raise PreconditionError("degenerate residuals: singular covariance")
+        residuals.append(r)
+    ra, rb = residuals
+    r = float(ra @ rb) / math.sqrt(float(ra @ ra) * float(rb @ rb))
+    r = max(min(r, 1.0), -1.0)
+    if abs(r) >= 1.0:
+        return CiTestResult("partial-correlation", float("inf"), 0.0, k)
+    stat = math.sqrt(n - k - 3) * abs(math.atanh(r))
+    return CiTestResult("partial-correlation", stat, math.erfc(stat / math.sqrt(2.0)), k)

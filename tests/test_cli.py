@@ -23,6 +23,14 @@ def run(capsys, *argv):
     return code, (json.loads(out) if out.strip() else None)
 
 
+def _subprocess_env():
+    """The environment for a child interpreter that imports this tree's causelab."""
+    src = str(Path(__file__).resolve().parent.parent / "src")
+    env = dict(os.environ)
+    env["PYTHONPATH"] = os.pathsep.join(p for p in (src, env.get("PYTHONPATH")) if p)
+    return env
+
+
 def check_schema(payload, name):
     schema = json.loads(
         resources.files("causelab").joinpath(f"schemas/{name}.json").read_text()
@@ -208,10 +216,13 @@ class TestGenerate:
         assert out.read_text() == "I,T,Y\n"
 
     def test_unknown_scenario_exit2(self, capsys, tmp_path):
-        with pytest.raises(SystemExit) as exc:
-            main(["generate", "--scenario", "nope", "--n", "5", "--seed", "1",
-                  "--out", str(tmp_path / "x.csv")])
-        assert exc.value.code == 2
+        code = main(["generate", "--scenario", "nope", "--n", "5", "--seed", "1",
+                     "--out", str(tmp_path / "x.csv")])
+        assert code == 2
+        err = capsys.readouterr().err
+        assert err.startswith("error: unknown scenario 'nope'; known: anm-nonlinear, ")
+        assert err.count("\n") == 1
+        assert not (tmp_path / "x.csv").exists()
 
 
 class TestDiscoverCli:
@@ -269,13 +280,10 @@ class TestDiscoverCli:
         data = tmp_path / "hs.csv"
         run(capsys, "generate", "--scenario", "halfsibling", "--n", "800",
             "--seed", seed, "--out", str(data))
-        src = str(Path(__file__).resolve().parent.parent / "src")
-        env = dict(os.environ)
-        env["PYTHONPATH"] = os.pathsep.join(p for p in (src, env.get("PYTHONPATH")) if p)
         res = subprocess.run(
             [sys.executable, "-m", "causelab.cli", "discover", "--data", str(data),
              "--method", "pc", "--alpha", "0.01", "--seed", "0"],
-            capture_output=True, text=True, env=env, timeout=300,
+            capture_output=True, text=True, env=_subprocess_env(), timeout=300,
         )
         assert res.returncode == 0, res.stderr
         assert re.search(
@@ -315,6 +323,25 @@ class TestBadFlagValues:
         captured = capsys.readouterr()
         assert code == 2 and captured.out == ""
         assert captured.err.startswith("error: ") and captured.err.count("\n") == 1
+
+    @pytest.mark.parametrize("alpha", ["1.5", "-1", "nan", "0", "1"])
+    def test_citest_alpha_outside_unit_interval_exit2(self, capsys, xyz_csv, alpha):
+        code = main(["test-ci", "--data", xyz_csv, "--a", "X", "--b", "Y", "--alpha", alpha])
+        captured = capsys.readouterr()
+        assert code == 2 and captured.out == ""
+        assert captured.err == "error: alpha must lie in (0, 1)\n"
+
+    def test_citest_collinear_variable_exit3(self, capsys, tmp_path):
+        import numpy as np
+        from causelab.data import Dataset
+
+        x = np.random.default_rng(5).normal(size=100)
+        path = tmp_path / "dup.csv"
+        Dataset.from_columns({"X": x, "X2": x, "Y": -x}).to_csv(path)
+        code = main(["test-ci", "--data", str(path), "--a", "X2", "--b", "Y", "--given", "X"])
+        captured = capsys.readouterr()
+        assert code == 3 and captured.out == ""
+        assert captured.err == "precondition failed: degenerate residuals: singular covariance\n"
 
     def test_mmd_zero_perms_exit2(self, capsys, xyz_csv):
         code = main(["mmd", "--data1", xyz_csv, "--data2", xyz_csv, "--perms", "0",
@@ -499,3 +526,83 @@ class TestKernelCli:
                             "--m", "1000", "--delta", "0.05", "--out", str(out))
         assert code == 0
         assert json.loads(out.read_text()) == payload
+
+
+class TestImports:
+    """Each subcommand imports only the library modules it runs."""
+
+    HEAVY = {"scm", "cgm", "scenarios", "estimation", "discovery", "graph"}
+
+    @staticmethod
+    def loaded_after(argv):
+        code = (
+            "import contextlib, io, sys\n"
+            "from causelab import cli\n"
+            "with contextlib.redirect_stdout(io.StringIO()):\n"
+            f"    assert cli.main({argv!r}) == 0\n"
+            "print(sorted(m[9:] for m in sys.modules if m.startswith('causelab.')))\n"
+        )
+        out = subprocess.run([sys.executable, "-c", code], capture_output=True, text=True,
+                             check=True, env=_subprocess_env())
+        return set(json.loads(out.stdout.replace("'", '"')))
+
+    def test_kernel_subcommands_load_only_data_and_kernels(self, tmp_path):
+        import numpy as np
+        from causelab.data import Dataset
+
+        rng = np.random.default_rng(6)
+        path = str(tmp_path / "xyz.csv")
+        Dataset.from_columns({c: rng.normal(size=60) for c in "XYZ"}).to_csv(path)
+        for argv in (
+            ["hsic", "--data", path, "--x", "X", "--y", "Y", "--perms", "9", "--seed", "0"],
+            ["mmd", "--data1", path, "--data2", path, "--perms", "9", "--seed", "0"],
+            ["test-ci", "--data", path, "--a", "X", "--b", "Y", "--given", "Z"],
+        ):
+            loaded = self.loaded_after(argv)
+            assert "kernels" in loaded and not loaded & self.HEAVY, (argv[0], loaded)
+
+    def test_count_dags_loads_graph_only(self):
+        loaded = self.loaded_after(["count-dags", "--n", "3"])
+        assert "graph" in loaded and not loaded & (self.HEAVY - {"graph"})
+
+    def test_late_import_keeps_no_wrapped_function(self, tmp_path):
+        """A function wrapped in place while `generate` first imports
+        scenarios is not kept once it is unwrapped."""
+        out = str(tmp_path / "g.csv")
+        code = (
+            "import contextlib, io\n"
+            "from causelab import cli, scm\n"
+            "calls = []\n"
+            "original = scm.sample\n"
+            "scm.sample = lambda *a, **k: calls.append(1) or original(*a, **k)\n"
+            f"argv = ['generate', '--scenario', 'iv-linear', '--n', '20', '--seed', '1', '--out', {out!r}]\n"
+            "with contextlib.redirect_stdout(io.StringIO()):\n"
+            "    cli.main(argv)\n"
+            "    scm.sample = original\n"
+            "    cli.main(argv)\n"
+            "print(len(calls))\n"
+        )
+        res = subprocess.run([sys.executable, "-c", code], capture_output=True, text=True,
+                             env=_subprocess_env())
+        assert res.returncode == 0 and res.stdout == "1\n", res.stderr
+
+    def test_package_names_resolve(self):
+        code = (
+            "import causelab, causelab.discovery\n"
+            "cgm = causelab.cgm\n"
+            "for name in causelab.__all__: getattr(causelab, name)\n"
+            "for name in ['cli', 'data', 'discovery', 'errors', 'estimation', 'graph',\n"
+            "             'kernels', 'scenarios', 'scm']:\n"
+            "    assert getattr(causelab, name).__name__ == 'causelab.' + name\n"
+            "space = {}\n"
+            "exec('from causelab import *', space)\n"
+            "assert set(causelab.__all__) <= set(space)\n"
+            "assert space['Dag'] is causelab.graph.Dag\n"
+            "try:\n"
+            "    causelab.nope\n"
+            "except AttributeError:\n"
+            "    print('ok')\n"
+        )
+        out = subprocess.run([sys.executable, "-c", code], capture_output=True, text=True,
+                             env=_subprocess_env())
+        assert out.returncode == 0 and out.stdout == "ok\n", out.stderr

@@ -27,6 +27,8 @@ from causelab.kernels import (
     vc_bound,
 )
 
+from oracles import partial_correlation_lstsq
+
 KINDS = [GaussianKernel(1.0), GaussianKernel(0.2), PolynomialKernel(2), PolynomialKernel(3, 0.5), LinearKernel()]
 
 
@@ -371,6 +373,89 @@ class TestCiTest:
         data = Dataset.from_columns({"A": np.ones(50), "B": np.ones(50)})
         with pytest.raises(PreconditionError):
             ci_test("partial-correlation", data, "A", "B")
+
+    @staticmethod
+    def collinear_dataset():
+        data = chain_dataset(500, 4)
+        x = data.column("X")
+        return Dataset.from_columns({
+            **{c: data.column(c) for c in data.columns},
+            "X2": x.copy(), "X3": 3.0 * x + 1.0, "C": np.full(500, 0.1),
+        })
+
+    @pytest.mark.parametrize("a, z", [
+        ("X2", ("X",)), ("X3", ("X",)), ("X", ("X3", "Y")), ("C", ()), ("C", ("Y",)),
+    ])
+    def test_variable_spanned_by_z_is_degenerate(self, a, z):
+        """A residual variance of rounding size raises, whatever its sign."""
+        data = self.collinear_dataset()
+        for b in ("Y", "Z"):
+            with pytest.raises(PreconditionError, match="degenerate residuals"):
+                ci_test("partial-correlation", data, a, b, z)
+            with pytest.raises(PreconditionError, match="degenerate residuals"):
+                ci_test("partial-correlation", data, b, a, z)
+
+    def test_rank_deficient_z_adds_nothing(self):
+        data = self.collinear_dataset()
+        once = ci_test("partial-correlation", data, "Y", "Z", ("X",))
+        for z in (("X", "X2"), ("X", "X3"), ("X3", "X2", "X"), ("X", "C")):
+            res = ci_test("partial-correlation", data, "Y", "Z", z)
+            dual = partial_correlation_lstsq(data, "Y", "Z", z)
+            assert res.cond_set_size == len(z)
+            assert res.statistic == pytest.approx(dual.statistic, rel=1e-12)
+            # only the degrees of freedom, n - |z| - 3, tell z from ("X",)
+            scale = math.sqrt((500 - len(z) - 3) / (500 - 1 - 3))
+            assert res.statistic == pytest.approx(once.statistic * scale, rel=1e-12)
+
+    def test_affine_images_in_z_add_nothing(self):
+        """Eliminating x leaves its affine image a residual of rounding
+        size; eliminating that too would divide by rounding error."""
+        for seed in range(200):
+            rng = np.random.default_rng(seed)
+            n = int(rng.integers(8, 60))
+            x = rng.normal(size=n) * 10.0 ** rng.integers(-3, 4) + rng.choice([0.0, 5.0, -100.0])
+            y = x + rng.normal(size=n)
+            data = Dataset.from_columns(
+                {"X": x, "X3": rng.uniform(-5, 5) * x + 1.0, "Y": y, "Z": y + rng.normal(size=n)}
+            )
+            res = ci_test("partial-correlation", data, "Y", "Z", ("X", "X3"))
+            once = partial_correlation_lstsq(data, "Y", "Z", ("X",))
+            scale = math.sqrt((n - 2 - 3) / (n - 1 - 3))
+            assert res.statistic == pytest.approx(once.statistic * scale, rel=1e-9), seed
+
+    def test_precision_survives_a_nearly_explained_variable(self):
+        """Y given X with R^2 = 1 - 1e-8: products of the columns would
+        lose 8 digits of Y's residual variance, the rows themselves do not."""
+        for seed in range(20):
+            rng = np.random.default_rng(seed)
+            x = rng.normal(size=300)
+            y = x + 1e-4 * rng.normal(size=300)
+            data = Dataset.from_columns({"X": x, "Y": y, "Z": y + 1e-4 * rng.normal(size=300)})
+            res = ci_test("partial-correlation", data, "Y", "Z", ("X",))
+            dual = partial_correlation_lstsq(data, "Y", "Z", ("X",))
+            assert res.statistic == pytest.approx(dual.statistic, rel=1e-9), seed
+
+    def test_self_test_given_z_rejects(self):
+        data = self.collinear_dataset()
+        for z in ((), ("X",), ("Z", "C")):
+            res = ci_test("partial-correlation", data, "Y", "Y", z)
+            assert res.p_value == 0.0 and math.isinf(res.statistic)
+
+    def test_tester_matches_single_tests(self):
+        """PC's tester, over every column, and ci_test, over the named
+        ones, agree, and the factor is built once."""
+        data = self.collinear_dataset()
+        tester = kernels.CiTester(data)
+        for a, b, z in [("X", "Z", ("Y",)), ("Z", "X", ()), ("Y", "Z", ("X2", "C"))]:
+            res = tester.test("partial-correlation", a, b, z)
+            assert res.statistic == pytest.approx(
+                ci_test("partial-correlation", data, a, b, z).statistic, rel=1e-12
+            )
+        factor = tester._factor
+        tester.test("partial-correlation", "X", "Y")
+        assert tester._factor is factor and factor.shape == (6, 6)
+        with pytest.raises(UsageError, match="unknown column 'W'"):
+            tester.test("partial-correlation", "X", "Y", ("W",))
 
 
 class TestKernelRidge:

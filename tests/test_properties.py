@@ -3,6 +3,7 @@
 import csv
 import io
 import itertools
+import math
 import logging
 import tempfile
 from pathlib import Path
@@ -47,6 +48,7 @@ from causelab.kernels import (
     hsic_statistic,
     hsic_test,
     kernel_ridge_fit,
+    ci_test,
     median_heuristic,
     mmd,
     vc_bound,
@@ -66,6 +68,7 @@ from oracles import (
     median_distance_dense,
     meek_closure_by_tuple_scans,
     mmd_permuted_dense,
+    partial_correlation_lstsq,
     permutations_by_seed,
     pc_skeleton_by_seen_tuples,
     pivoted_cholesky_of_gram,
@@ -715,3 +718,65 @@ def test_greedy_acyclicity_checks_match_dag_construction(g):
             assert _acyclic_after(out, u, v, reverse=True) == builds(turned)
         elif (v, u) not in g.edges:
             assert _acyclic_after(out, u, v, reverse=False) == builds(g.edges | {(u, v)})
+
+
+@st.composite
+def ci_queries(draw):
+    """A linear-Gaussian dataset with scaled and shifted columns, plus exact
+    copies, affine images (cx + 1) and constants, and a test a ⫫ b | z on
+    it whose z may repeat a name or be rank-deficient.
+
+    a and b are never distinct columns from one source: their exact linear
+    relation puts r at +-1 up to rounding, whose Fisher z neither route
+    computes. a ⫫ a is drawn, and gives r = 1 on both.
+    """
+    rng = np.random.default_rng(draw(st.integers(0, 2**32 - 1)))
+    rows, width = draw(st.integers(6, 150)), draw(st.integers(1, 5))
+    base = rng.normal(size=(rows, width))
+    for k in range(1, width):
+        base[:, k] += base[:, :k] @ rng.uniform(-1.0, 1.0, size=k)
+    scale = draw(st.lists(st.sampled_from([1e-3, 1.0, 1e3]), min_size=width, max_size=width))
+    shift = draw(st.lists(st.sampled_from([0.0, 5.0, -100.0]), min_size=width, max_size=width))
+    columns = {f"V{k}": base[:, k] * scale[k] + shift[k] for k in range(width)}
+    source = {f"V{k}": k for k in range(width)}
+    for kind, k, c in draw(st.lists(
+        st.tuples(st.sampled_from(["copy", "affine", "const"]), st.integers(0, width - 1),
+                  st.floats(-5.0, 5.0)),
+        max_size=3,
+    )):
+        name = f"D{len(columns)}"
+        x = columns[f"V{k}"]
+        columns[name] = {"copy": x.copy(), "affine": c * x + 1.0, "const": np.full(rows, 0.1)}[kind]
+        source[name] = None if kind == "const" else k
+    names = sorted(columns)
+    a = draw(st.sampled_from(names))
+    b = names[(names.index(a) + draw(st.integers(1, len(names)))) % len(names)]
+    assume(a == b or source[a] is None or source[a] != source[b])
+    z = draw(st.lists(st.sampled_from(names), max_size=4))
+    return Dataset.from_columns(columns), a, b, tuple(z)
+
+
+def _ci_outcome(fn, *args):
+    try:
+        return fn(*args)
+    except (UsageError, PreconditionError) as exc:
+        return type(exc)
+
+
+@settings(max_examples=400, deadline=None)
+@given(ci_queries())
+def test_partial_correlation_matches_least_squares(query):
+    data, a, b, z = query
+    ours = _ci_outcome(ci_test, "partial-correlation", data, a, b, z)
+    dual = _ci_outcome(partial_correlation_lstsq, data, a, b, z)
+    if isinstance(dual, type):
+        assert ours is dual
+        return
+    assert not isinstance(ours, type), ours
+    assert ours.cond_set_size == dual.cond_set_size == len(z)
+    if math.isinf(dual.statistic):
+        assert math.isinf(ours.statistic) and ours.p_value == 0.0
+        return
+    assert abs(ours.statistic - dual.statistic) <= 1e-9 * max(1.0, dual.statistic)
+    if dual.p_value > 1e-250:
+        assert ours.p_value == pytest.approx(dual.p_value, rel=1e-9)
