@@ -12,6 +12,7 @@ library modules it runs, so a subcommand loads only those.
 from __future__ import annotations
 
 import argparse
+import dataclasses
 import json
 import os
 import sys
@@ -174,15 +175,9 @@ def cmd_discover(args) -> dict:
     from . import discovery, graph
 
     data = _load_dataset(args.data)
-    cfg = discovery.DiscoveryConfig(
-        ci_method=args.ci,
-        alpha=args.alpha,
-        max_cond_size=args.max_cond,
-        score=args.score_model,
-        search=args.search,
-        perms=args.perms,
-        seed=args.seed,
-    )
+    fields = {f.name for f in dataclasses.fields(discovery.DiscoveryConfig)}
+    given = {k: v for k, v in vars(args).items() if k in fields and v is not None}
+    cfg = discovery.DiscoveryConfig(**given)  # unset flags keep the config's defaults
     if args.method in ("pc", "sgs"):
         skel = (
             discovery.pc_skeleton(data, cfg)
@@ -455,14 +450,12 @@ def build_parser() -> argparse.ArgumentParser:
     p = sub.add_parser("discover", help="structure learning on a CSV dataset")
     p.add_argument("--data", required=True)
     p.add_argument("--method", required=True, choices=["pc", "sgs", "score", "anm"])
-    p.add_argument("--alpha", type=float, default=0.05)
-    p.add_argument("--ci", default="partial-correlation",
-                   choices=["partial-correlation", "kernel-residual"])
-    p.add_argument("--max-cond", type=int, default=4)
-    p.add_argument("--score-model", default="multinomial",
-                   choices=["multinomial", "linear-gaussian"])
-    p.add_argument("--search", default="exhaustive", choices=["exhaustive", "greedy"])
-    p.add_argument("--perms", type=int, default=200)
+    p.add_argument("--alpha", type=float)
+    p.add_argument("--ci", dest="ci_method", choices=["partial-correlation", "kernel-residual"])
+    p.add_argument("--max-cond", dest="max_cond_size", type=int)
+    p.add_argument("--score-model", dest="score", choices=["multinomial", "linear-gaussian"])
+    p.add_argument("--search", choices=["exhaustive", "greedy"])
+    p.add_argument("--perms", type=int)
     p.add_argument("--seed", type=int, required=True)
     p.add_argument("--x")
     p.add_argument("--y")
@@ -541,6 +534,8 @@ def main(argv=None) -> int:
     args = parser.parse_args(argv)
     json_out = None if args.command in _FILE_PRODUCING else getattr(args, "out", None)
     try:
+        if getattr(args, "seed", None) is not None and args.seed < 0:
+            raise UsageError(f"seed must be >= 0, got {args.seed}")
         _emit(args.handler(args), json_out)
     except UsageError as exc:
         print(f"error: {exc}", file=sys.stderr)

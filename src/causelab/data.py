@@ -35,14 +35,17 @@ def write_atomic(path: str | os.PathLike, text: str | Iterable[str]) -> None:
     """Write UTF-8 text, or its pieces in order, through a temporary file
     renamed over path."""
     directory = os.path.dirname(os.fspath(path)) or "."
-    fd, tmp = tempfile.mkstemp(dir=directory, suffix=".tmp")
+    tmp = None
     try:
+        fd, tmp = tempfile.mkstemp(dir=directory, suffix=".tmp")
         with os.fdopen(fd, "w", encoding="utf-8", newline="") as fh:
             fh.writelines([text] if isinstance(text, str) else text)
         os.replace(tmp, path)
-    except BaseException:
-        if os.path.exists(tmp):
+    except BaseException as exc:
+        if tmp is not None and os.path.exists(tmp):
             os.unlink(tmp)
+        if isinstance(exc, OSError):
+            raise UsageError(f"cannot write {os.fspath(path)!r}: {exc.strerror}") from None
         raise
 
 

@@ -12,6 +12,7 @@ sweep, so results do not depend on evaluation order.
 
 from __future__ import annotations
 
+import functools
 import itertools
 import logging
 import math
@@ -199,6 +200,10 @@ def orient(skeleton: SkeletonResult) -> Cpdag:
 # ---------------------------------------------------------------------------
 # Score-based search
 
+# Scores within SCORE_TOL tie. Score-equivalent graphs, such as a covered
+# edge and its reversal, differ only by rounding, far below the band.
+SCORE_TOL = 1e-6
+
 
 def _family_loglik_multinomial(columns, child, parents):
     """Maximized log-likelihood and parameter count of one conditional."""
@@ -228,39 +233,50 @@ def _family_loglik_gaussian(columns, child, parents):
     design = np.column_stack([np.ones(m)] + [columns[p] for p in parents])
     beta, *_ = np.linalg.lstsq(design, yv, rcond=None)
     resid = yv - design @ beta
-    sigma2 = float(resid @ resid) / m
-    sigma2 = max(sigma2, 1e-300)
+    sigma2 = max(float(resid @ resid) / m, 1e-300)
     ll = -0.5 * m * (math.log(2.0 * math.pi * sigma2) + 1.0)
     return ll, len(parents) + 2
 
 
-def _family_loglik(data: Dataset, nodes, model: str):
-    """The per-family log-likelihood of a score model, checked against the data."""
+def _family_scorer(data: Dataset, nodes, model: str):
+    """Cached f(child index, parent mask) -> (log-likelihood, parameter
+    count) of one family of a score model, over the data's columns named
+    by nodes; the parents enter the fit in node order."""
+    if data.n == 0:
+        raise UsageError("empty dataset")
     if model == "multinomial":
         if any(data.kinds[v] == "real" for v in nodes):
             raise UsageError("multinomial score requires discrete columns")
-        return _family_loglik_multinomial
-    if model == "linear-gaussian":
-        return _family_loglik_gaussian
-    raise UsageError(f"unknown score model {model!r}")
+        family = _family_loglik_multinomial
+    elif model == "linear-gaussian":
+        family = _family_loglik_gaussian
+    else:
+        raise UsageError(f"unknown score model {model!r}")
+    columns = {v: data.column(v).astype(float) for v in nodes}
+
+    @functools.cache
+    def scorer(child: int, pmask: int) -> tuple[float, int]:
+        parents = tuple(nodes[p] for p in graph_mod._bits(pmask))
+        return family(columns, nodes[child], parents)
+
+    return scorer
+
+
+def _bic(family, g: Dag, logm: float) -> float:
+    ll = 0.0
+    k = 0
+    for v, pmask in enumerate(g._parent_masks):
+        fll, fk = family(v, pmask)
+        ll += fll
+        k += fk
+    return ll - 0.5 * k * logm
 
 
 def bic_score(data: Dataset, g: Dag, model: str = "multinomial") -> float:
     """Penalized maximum likelihood: log p(D | G, MLE) - (k/2) log m."""
-    if data.n == 0:
-        raise UsageError("empty dataset")
     if set(g.nodes) - set(data.columns):
         raise UsageError("graph references columns missing from the data")
-    columns = {v: data.column(v).astype(float) for v in g.nodes}
-    family = _family_loglik(data, g.nodes, model)
-    ll = 0.0
-    k = 0
-    for v in g.nodes:
-        parents = tuple(g.nodes[p] for p in g.parents(v))
-        fll, fk = family(columns, v, parents)
-        ll += fll
-        k += fk
-    return ll - 0.5 * k * math.log(data.n)
+    return _bic(_family_scorer(data, g.nodes, model), g, math.log(data.n))
 
 
 @dataclass(frozen=True)
@@ -271,136 +287,123 @@ class ScoreSearchResult:
 
 
 def score_search(data: Dataset, cfg: DiscoveryConfig) -> ScoreSearchResult:
-    """Best-scoring DAG, by full enumeration or greedy single-edge moves."""
+    """Best-scoring DAG, by full enumeration or greedy single-edge moves.
+
+    Enumeration keeps, among the DAGs scoring within SCORE_TOL of the best,
+    the one with fewest edges, then the first by sorted edge names.
+    """
     nodes = data.columns
-    model = cfg.score
-    if cfg.search == "exhaustive":
-        if len(nodes) > MAX_EXHAUSTIVE_NODES:
-            raise UsageError(
-                f"{len(nodes)} variables exceed the exhaustive limit {MAX_EXHAUSTIVE_NODES}"
-            )
-        best = None
-        best_score = -math.inf
-        count = 0
-        candidates = []
-        for g in enumerate_dags(nodes):
-            s = bic_score(data, g, model)
-            count += 1
-            candidates.append((s, g))
-            best_score = max(best_score, s)
-        tied = [
-            (len(g.edges), sorted((g.nodes[i], g.nodes[j]) for i, j in g.edges), g, s)
-            for s, g in candidates
-            if s >= best_score - 1e-9
-        ]
-        tied.sort(key=lambda t: (t[0], t[1]))
-        best, score = tied[0][2], tied[0][3]
-        return ScoreSearchResult(dag=best, score=score, graphs_scored=count)
-    if cfg.search != "greedy":
+    if cfg.search == "greedy":
+        return _greedy_search(data, cfg.score)
+    if cfg.search != "exhaustive":
         raise UsageError(f"unknown search mode {cfg.search!r}")
-    return _greedy_search(data, nodes, model)
-
-
-def _acyclic_after(out: list[int], u: int, v: int, reverse: bool) -> bool:
-    """Whether the DAG with child masks out stays acyclic after adding u -> v,
-    or with reverse, after turning its edge u -> v into v -> u."""
-    if reverse:  # u must not reach v once u -> v is gone
-        out = [*out[:u], out[u] & ~(1 << v), *out[u + 1 :]]
-        return not graph_mod._reaches(out, u, v)
-    return not graph_mod._reaches(out, v, u)
-
-
-def _greedy_search(data: Dataset, nodes, model) -> ScoreSearchResult:
-    columns = {v: data.column(v).astype(float) for v in nodes}
-    family = _family_loglik(data, nodes, model)
+    if len(nodes) > MAX_EXHAUSTIVE_NODES:
+        raise UsageError(
+            f"{len(nodes)} variables exceed the exhaustive limit {MAX_EXHAUSTIVE_NODES}"
+        )
+    family = _family_scorer(data, nodes, cfg.score)
     logm = math.log(data.n)
-    cache: dict[tuple[str, tuple[str, ...]], float] = {}
+    scored = [(_bic(family, g, logm), g) for g in enumerate_dags(nodes)]
+    best = max(s for s, _ in scored)
+    score, dag = min(
+        ((s, g) for s, g in scored if s >= best - SCORE_TOL),
+        key=lambda t: (len(t[1].edges), sorted((nodes[i], nodes[j]) for i, j in t[1].edges)),
+    )
+    return ScoreSearchResult(dag=dag, score=score, graphs_scored=len(scored))
 
-    def local(child, parents):
-        key = (child, tuple(sorted(parents)))
-        if key not in cache:
-            ll, k = family(columns, child, key[1])
-            cache[key] = ll - 0.5 * k * logm
-        return cache[key]
 
-    n = len(nodes)
-    index = {v: k for k, v in enumerate(nodes)}
-    parent_sets = {v: set() for v in nodes}
+def _acyclic_after(pa: list[int], u: int, v: int, reverse: bool) -> bool:
+    """Whether the DAG with parent masks pa stays acyclic after adding u -> v,
+    or with reverse, after turning its edge u -> v into v -> u."""
+    if reverse:  # u must not be an ancestor of v once u -> v is gone
+        pa = [*pa[:v], pa[v] & ~(1 << u), *pa[v + 1 :]]
+        return not graph_mod._reaches(pa, v, u)
+    return not graph_mod._reaches(pa, u, v)  # nor v one of u
+
+
+ADD, DELETE, REVERSE = 0, 1, 2  # greedy move kinds, in tie-break order
+
+
+def _moves(local, pa: list[int]) -> list[tuple[float, tuple[int, int, int]]]:
+    """(gain, (kind, u, v)) for each single-edge move that keeps the DAG with
+    parent masks pa acyclic; REVERSE turns u -> v into v -> u.
+
+    A move's gain and its undo's subtract the same two sums of cached
+    family scores in opposite orders, so they are exact negatives.
+    """
+    moves = []
+    for u, v in itertools.permutations(range(len(pa)), 2):
+        now = local(v, pa[v])
+        if pa[v] >> u & 1:
+            cut = local(v, pa[v] & ~(1 << u))
+            moves.append((cut - now, (DELETE, u, v)))
+            if _acyclic_after(pa, u, v, reverse=True):
+                turned = cut + local(u, pa[u] | 1 << v)
+                moves.append((turned - (now + local(u, pa[u])), (REVERSE, u, v)))
+        elif not pa[u] >> v & 1 and _acyclic_after(pa, u, v, reverse=False):
+            moves.append((local(v, pa[v] | 1 << u) - now, (ADD, u, v)))
+    return moves
+
+
+def _apply(pa: list[int], kind: int, u: int, v: int) -> None:
+    pa[v] ^= 1 << u  # a legal move adds u -> v where absent, else removes it
+    if kind == REVERSE:
+        pa[u] |= 1 << v
+
+
+def _greedy_search(data: Dataset, model: str) -> ScoreSearchResult:
+    """Hill-climb from the empty graph by improving single-edge moves, with
+    score-preserving reversals kept only when they unlock an improvement.
+
+    A move improves only when its gain exceeds SCORE_TOL, the band that
+    admits plateau reversals, so the undo of a plateau reversal never counts
+    as one and rounding noise cannot drive the climb. Nodes are indexed in
+    name order, which breaks ties.
+    """
+    names = sorted(data.columns)
+    family = _family_scorer(data, names, model)
+    logm = math.log(data.n)
+
+    def local(v, pmask):
+        ll, k = family(v, pmask)
+        return ll - 0.5 * k * logm
+
+    pa = [0] * len(names)
     scored = 0
-    op_rank = {"add": 0, "del": 1, "rev": 2}
 
-    def scan_moves():
+    def scan():
         nonlocal scored
-        moves = []
-        out = [0] * n
-        for v in nodes:
-            for p in parent_sets[v]:
-                out[index[p]] |= 1 << index[v]
-        for u, v in itertools.permutations(nodes, 2):
-            if u in parent_sets[v]:
-                gain = local(v, parent_sets[v] - {u}) - local(v, parent_sets[v])
-                scored += 1
-                moves.append((gain, ("del", u, v)))
-                if v not in parent_sets[u] and _acyclic_after(
-                    out, index[u], index[v], reverse=True
-                ):
-                    gain = (
-                        local(v, parent_sets[v] - {u})
-                        + local(u, parent_sets[u] | {v})
-                        - local(v, parent_sets[v])
-                        - local(u, parent_sets[u])
-                    )
-                    scored += 1
-                    moves.append((gain, ("rev", u, v)))
-            elif v not in parent_sets[u] and u not in parent_sets[v]:
-                if _acyclic_after(out, index[u], index[v], reverse=False):
-                    gain = local(v, parent_sets[v] | {u}) - local(v, parent_sets[v])
-                    scored += 1
-                    moves.append((gain, ("add", u, v)))
+        moves = _moves(local, pa)
+        scored += len(moves)
         return moves
 
-    def apply(op, u, v):
-        if op == "add":
-            parent_sets[v].add(u)
-        elif op == "del":
-            parent_sets[v].discard(u)
-        else:
-            parent_sets[v].discard(u)
-            parent_sets[u].add(v)
-
-    def best_strict(moves):
-        best_gain = max((g for g, _ in moves), default=-math.inf)
-        if best_gain <= 1e-12:
+    def improvement(moves):
+        """The first improving move by kind, then names, among those within
+        SCORE_TOL of the best gain (score-equivalent orientations)."""
+        gains = [(g, mv) for g, mv in moves if g > SCORE_TOL]
+        if not gains:
             return None
-        # near-ties (score-equivalent orientations) resolve lexicographically
-        tied = [mv for g, mv in moves if g >= best_gain - 1e-6]
-        tied.sort(key=lambda mv: (op_rank[mv[0]], mv[1], mv[2]))
-        return tied[0]
+        best = max(g for g, _ in gains)
+        return min(mv for g, mv in gains if g >= best - SCORE_TOL)
 
     while True:
-        move = best_strict(scan_moves())
+        move = improvement(scan())
         if move is not None:
-            apply(*move)
+            _apply(pa, *move)
             continue
-        # plateau: a score-preserving reversal (covered edge) may unlock a
-        # strictly improving deletion; accept it only when it does
-        escaped = False
         plateau = sorted(
-            (mv for g, mv in scan_moves() if mv[0] == "rev" and abs(g) <= 1e-6),
-            key=lambda mv: (mv[1], mv[2]),
+            (u, v) for g, (kind, u, v) in scan() if kind == REVERSE and abs(g) <= SCORE_TOL
         )
-        for _, u, v in plateau:
-            apply("rev", u, v)
-            if best_strict(scan_moves()) is not None:
-                escaped = True
+        for u, v in plateau:
+            _apply(pa, REVERSE, u, v)
+            if improvement(scan()) is not None:
                 break
-            apply("rev", v, u)  # revert
-        if not escaped:
+            _apply(pa, REVERSE, v, u)
+        else:
             break
-    edges = [(p, v) for v in nodes for p in parent_sets[v]]
-    g = Dag(nodes, edges)
-    total = sum(local(v, parent_sets[v]) for v in nodes)
-    return ScoreSearchResult(dag=g, score=total, graphs_scored=scored)
+    edges = [(names[u], names[v]) for v, pmask in enumerate(pa) for u in graph_mod._bits(pmask)]
+    total = sum(local(names.index(v), pa[names.index(v)]) for v in data.columns)
+    return ScoreSearchResult(dag=Dag(data.columns, edges), score=total, graphs_scored=scored)
 
 
 # ---------------------------------------------------------------------------

@@ -285,6 +285,8 @@ def ate_ipw(
     the plain group-mean contrast. The unnormalized (1/m) variant is
     reported in the diagnostics.
     """
+    if not 0 <= clip < 0.5:
+        raise UsageError(f"clip must lie in [0, 0.5), got {clip}")
     yv, tv = _split(data, y, t)
     scores = _resolve_propensity(data, t, z, propensity)
     clipped = int(((scores < clip) | (scores > 1 - clip)).sum())
@@ -420,6 +422,8 @@ def ate_front_door(data: Dataset, y: str, t: str, mdtr: str) -> EffectEstimate:
 
 def _ols(x: np.ndarray, yv: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
     """Coefficients (intercept, slope) of y ~ 1 + x and their covariance."""
+    if np.ptp(x) == 0:
+        raise PreconditionError("constant regressor: the least-squares fit is singular")
     n = len(x)
     design = np.column_stack([np.ones(n), x])
     beta, *_ = np.linalg.lstsq(design, yv, rcond=None)

@@ -547,23 +547,16 @@ def enumerate_dags(nodes: Sequence[str]) -> Iterator[Dag]:
     keeps the acyclic ones; intended for desk-scale exhaustive sweeps.
     """
     nodes = tuple(nodes)
-    n = len(nodes)
-    pairs = list(itertools.combinations(range(n), 2))
+    pairs = list(itertools.combinations(range(len(nodes)), 2))
     for states in itertools.product((0, 1, 2), repeat=len(pairs)):
-        edges = []
-        for (i, j), s in zip(pairs, states):
-            if s == 1:
-                edges.append((i, j))
-            elif s == 2:
-                edges.append((j, i))
-        pmask = [0] * n
-        cmask = [0] * n
-        for i, j in edges:
-            pmask[j] |= 1 << i
-            cmask[i] |= 1 << j
-        if _kahn_order(pmask, cmask) is None:
-            continue
-        yield Dag(nodes, edges)
+        edges = [(i, j) if s == 1 else (j, i) for (i, j), s in zip(pairs, states) if s]
+        try:
+            g = Dag(nodes, edges)
+        except UsageError:
+            if not edges:  # the first candidate fails only on bad node names
+                raise
+            continue  # a directed cycle
+        yield g
 
 
 # ---------------------------------------------------------------------------
@@ -581,11 +574,9 @@ def dag_to_json(g: Dag) -> str:
 def dag_from_json(text: str) -> Dag:
     try:
         payload = json.loads(text)
-        nodes = payload["nodes"]
-        edges = [tuple(e) for e in payload.get("edges", [])]
+        return Dag(payload["nodes"], [tuple(e) for e in payload.get("edges", [])])
     except (json.JSONDecodeError, KeyError, TypeError, ValueError) as exc:
         raise UsageError(f"bad graph JSON: {exc}") from exc
-    return Dag(nodes, edges)
 
 
 def cpdag_to_json(c: Cpdag) -> str:

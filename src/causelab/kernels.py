@@ -617,6 +617,10 @@ class CiTester:
         if self._factor is None:
             xs = self.data.matrix(self.data.columns)
             xc = xs - xs.mean(axis=0)
+            # the mean's rounding is small next to the column's mean, not
+            # next to its spread: 1 + 1e-13 x centres to noise of x's size
+            # unless the centred column's own mean is taken out again
+            xc -= xc.mean(axis=0)
             # a constant column centres to zero, not to its mean's rounding
             xc[:, xs.min(axis=0) == xs.max(axis=0)] = 0.0
             self._factor = np.linalg.qr(xc, mode="r")

@@ -816,6 +816,8 @@ def scm_from_json(text: str) -> Scm:
             for e in entries
         }
         noises = {e["name"]: _noise_from_obj(e["noise"]) for e in entries}
-    except (json.JSONDecodeError, KeyError, TypeError, ValueError, IndexError) as exc:
+    except (
+        json.JSONDecodeError, KeyError, TypeError, ValueError, IndexError, AttributeError
+    ) as exc:
         raise UsageError(f"bad SCM JSON: {exc}") from exc
     return Scm(variables, mechanisms, noises)

@@ -25,6 +25,31 @@ def random_dag(n: int, rng: np.random.Generator, p: float = 0.4) -> Dag:
     return Dag([f"V{k}" for k in range(n)], edges)
 
 
+def five_column_chain(n: int, seed: int):
+    """Linear-Gaussian data over A -> B -> C -> D <- A, with E alone.
+
+    Its covered edge A -> B made greedy score search flip A -> B and B -> A
+    forever on most seeds at n = 2,000 and 5,000: the reversal's computed
+    gain rounded to a few 1e-12 either way.
+    """
+    from causelab.data import Dataset
+
+    rng = np.random.default_rng(seed)
+    a = rng.normal(size=n)
+    b = rng.normal(size=n)
+    c = rng.normal(size=n)
+    d = rng.normal(size=n)
+    e = rng.normal(size=n)
+    A = a
+    B = A + b
+    C = B + c
+    D = A + C + d
+    return Dataset.from_columns({"A": A, "B": B, "C": C, "D": D, "E": e})
+
+
+FIVE_CHAIN = Dag("ABCDE", [("A", "B"), ("B", "C"), ("A", "D"), ("C", "D")])
+
+
 def covariate_web_graph() -> Dag:
     """Treatment/outcome graph with three covariates used across suites:
     X1->T, X1->X2, X2->Y, X2->X3, T->Y, T->X3, X3->Y."""

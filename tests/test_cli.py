@@ -257,6 +257,45 @@ class TestDiscoverCli:
         check_schema(payload, "discover_score")
         assert payload["graphs_scored"] == 25
 
+    def test_greedy_linear_gaussian_exits(self, tmp_path):
+        from conftest import FIVE_CHAIN, five_column_chain
+        from causelab.graph import markov_equivalent
+
+        path = tmp_path / "chain5.csv"
+        five_column_chain(2000, 0).to_csv(path)
+        res = subprocess.run(
+            [sys.executable, "-m", "causelab.cli", "discover", "--data", str(path),
+             "--method", "score", "--score-model", "linear-gaussian",
+             "--search", "greedy", "--seed", "0"],
+            capture_output=True, text=True, env=_subprocess_env(), timeout=120,
+        )
+        assert res.returncode == 0, res.stderr
+        payload = json.loads(res.stdout)
+        check_schema(payload, "discover_score")
+        dag = Dag(payload["dag"]["nodes"], payload["dag"]["edges"])
+        assert markov_equivalent(dag, FIVE_CHAIN)
+
+    def test_unset_flags_take_discovery_config_defaults(
+        self, capsys, monkeypatch, collider_csv
+    ):
+        import dataclasses
+        from causelab import discovery
+
+        @dataclasses.dataclass(frozen=True)
+        class Changed(discovery.DiscoveryConfig):
+            alpha: float = 0.01
+            score: str = "linear-gaussian"
+            search: str = "greedy"
+
+        monkeypatch.setattr(discovery, "DiscoveryConfig", Changed)
+        code, payload = run(capsys, "discover", "--data", collider_csv,
+                            "--method", "pc", "--seed", "0")
+        assert code == 0 and payload["alpha"] == 0.01
+        code, payload = run(capsys, "discover", "--data", collider_csv,
+                            "--method", "score", "--seed", "0")
+        assert code == 0
+        assert (payload["score_model"], payload["search"]) == ("linear-gaussian", "greedy")
+
     def test_anm_report(self, capsys, tmp_path):
         out = tmp_path / "anm.csv"
         run(capsys, "generate", "--scenario", "anm-nonlinear", "--n", "800",
@@ -323,6 +362,28 @@ class TestBadFlagValues:
         captured = capsys.readouterr()
         assert code == 2 and captured.out == ""
         assert captured.err.startswith("error: ") and captured.err.count("\n") == 1
+
+    @pytest.mark.parametrize(
+        "argv",
+        [
+            ["generate", "--scenario", "iv-linear", "--n", "50", "--out", "{out}"],
+            ["simulate", "--scm", "{scm}", "--n", "50", "--out", "{out}"],
+            ["hsic", "--data", "{csv}", "--x", "X", "--y", "Y"],
+            ["mmd", "--data1", "{csv}", "--data2", "{csv}"],
+            ["test-ci", "--data", "{csv}", "--a", "X", "--b", "Y", "--given", "Z",
+             "--method", "kernel-residual"],
+            ["discover", "--data", "{csv}", "--method", "anm", "--x", "X", "--y", "Y"],
+            ["discover", "--data", "{csv}", "--method", "pc", "--ci", "kernel-residual"],
+        ],
+        ids=lambda argv: " ".join(a for a in argv[:4] if "{" not in a),
+    )
+    def test_negative_seed_exit2_with_one_line(self, capsys, tmp_path, scm_file,
+                                               xyz_csv, argv):
+        paths = {"out": str(tmp_path / "out.csv"), "scm": scm_file, "csv": xyz_csv}
+        code = main([a.format(**paths) for a in argv] + ["--seed", "-1"])
+        captured = capsys.readouterr()
+        assert code == 2 and captured.out == ""
+        assert captured.err == "error: seed must be >= 0, got -1\n"
 
     @pytest.mark.parametrize("alpha", ["1.5", "-1", "nan", "0", "1"])
     def test_citest_alpha_outside_unit_interval_exit2(self, capsys, xyz_csv, alpha):
@@ -402,6 +463,92 @@ class TestEstimateCli:
         code, _ = run(capsys, "estimate", "--data", str(path), "--method", "2sls",
                       "--y", "Y", "--t", "T", "--instrument", "I")
         assert code == 3
+
+
+class TestFileFaults:
+    def one_line_error(self, capsys, argv):
+        code = main(argv)
+        captured = capsys.readouterr()
+        assert code == 2 and captured.out == ""
+        assert captured.err.startswith("error: ") and captured.err.count("\n") == 1
+        return captured.err
+
+    def test_graph_edge_without_a_child(self, capsys, tmp_path):
+        path = tmp_path / "g.json"
+        path.write_text('{"nodes": ["A", "B"], "edges": [["A"]]}')
+        err = self.one_line_error(capsys, ["dsep", str(path), "A", "B"])
+        assert err.startswith("error: bad graph JSON: ")
+
+    def test_scm_noise_that_is_not_an_object(self, capsys, tmp_path, scm_file):
+        payload = json.loads(Path(scm_file).read_text())
+        payload["variables"][0]["noise"] = [1]
+        path = tmp_path / "scm.json"
+        path.write_text(json.dumps(payload))
+        err = self.one_line_error(capsys, ["simulate", "--scm", str(path), "--n", "5",
+                                           "--seed", "0", "--out", str(tmp_path / "s.csv")])
+        assert err.startswith("error: bad SCM JSON: ")
+
+    @pytest.mark.parametrize(
+        "argv",
+        [
+            ["count-dags", "--n", "3", "--out", "{missing}/res.json"],
+            ["generate", "--scenario", "iv-linear", "--n", "50", "--seed", "0",
+             "--out", "{missing}/iv.csv"],
+        ],
+        ids=["json", "csv"],
+    )
+    def test_out_into_a_missing_directory(self, capsys, tmp_path, argv):
+        missing = tmp_path / "missing"
+        err = self.one_line_error(capsys, [a.format(missing=missing) for a in argv])
+        assert err.startswith(f"error: cannot write '{missing}")
+        assert not missing.exists()
+
+    def test_out_naming_a_directory(self, capsys, tmp_path):
+        err = self.one_line_error(capsys, ["count-dags", "--n", "3", "--out", str(tmp_path)])
+        assert err == f"error: cannot write '{tmp_path}': Is a directory\n"
+        assert list(tmp_path.iterdir()) == []
+
+
+class TestEstimatorInputs:
+    @pytest.fixture
+    def treated_csv(self, tmp_path):
+        import numpy as np
+        from causelab.data import Dataset
+
+        rng = np.random.default_rng(8)
+        t = (rng.random(400) < 0.5).astype(float)
+        path = tmp_path / "treated.csv"
+        Dataset.from_columns(
+            {"T": t, "Z": rng.normal(size=400), "Y": t + rng.normal(size=400)}
+        ).to_csv(path)
+        return path
+
+    @pytest.mark.parametrize("level", ["1.0", "0.001"])
+    def test_2sls_constant_instrument_exit3(self, capsys, tmp_path, treated_csv, level):
+        lines = treated_csv.read_text().splitlines()
+        path = tmp_path / "iv.csv"
+        path.write_text("\n".join([lines[0] + ",I"] + [row + "," + level for row in lines[1:]]))
+        code = main(["estimate", "--data", str(path), "--method", "2sls", "--y", "Y",
+                     "--t", "T", "--instrument", "I"])
+        captured = capsys.readouterr()
+        assert code == 3 and captured.out == ""
+        assert captured.err == (
+            "precondition failed: constant regressor: the least-squares fit is singular\n"
+        )
+
+    @pytest.mark.parametrize("clip", ["-1", "0.7", "0.5", "nan"])
+    def test_ipw_clip_outside_its_range_exit2(self, capsys, treated_csv, clip):
+        code = main(["estimate", "--data", str(treated_csv), "--method", "ipw",
+                     "--y", "Y", "--t", "T", "--z", "Z", "--clip", clip])
+        captured = capsys.readouterr()
+        assert code == 2 and captured.out == ""
+        assert captured.err == f"error: clip must lie in [0, 0.5), got {float(clip)}\n"
+
+    @pytest.mark.parametrize("clip", ["0", "0.49"])
+    def test_ipw_clip_inside_its_range(self, capsys, treated_csv, clip):
+        code, payload = run(capsys, "estimate", "--data", str(treated_csv), "--method",
+                            "ipw", "--y", "Y", "--t", "T", "--z", "Z", "--clip", clip)
+        assert code == 0 and payload["diagnostics"]["clip"] == float(clip)
 
 
 class TestNonFinite:

@@ -1,10 +1,20 @@
+import contextlib
+import math
+import signal
+
 import numpy as np
 import pytest
 
+from conftest import FIVE_CHAIN, five_column_chain
 from causelab.data import Dataset
 from causelab.discovery import (
+    REVERSE,
+    SCORE_TOL,
     AnmVerdict,
     DiscoveryConfig,
+    _apply,
+    _family_scorer,
+    _moves,
     anm_direction,
     bic_score,
     orient,
@@ -24,6 +34,22 @@ from causelab.scenarios import get_scenario
 
 COLLIDER = Dag(["X", "Y", "Z"], [("X", "Y"), ("Z", "Y")])
 CHAIN = Dag(["X", "Y", "Z"], [("X", "Y"), ("Y", "Z")])
+
+
+@contextlib.contextmanager
+def deadline(seconds):
+    """Raise TimeoutError in the block once it has run for seconds."""
+
+    def expire(*_):
+        raise TimeoutError(f"still running after {seconds} s")
+
+    previous = signal.signal(signal.SIGALRM, expire)
+    signal.alarm(seconds)
+    try:
+        yield
+    finally:
+        signal.alarm(0)
+        signal.signal(signal.SIGALRM, previous)
 
 
 def oracle_cfg(g: Dag) -> DiscoveryConfig:
@@ -250,6 +276,52 @@ class TestScoreSearch:
         )
         with pytest.raises(UsageError):
             score_search(data, DiscoveryConfig(score="linear-gaussian"))
+
+    @pytest.mark.parametrize("n, seed", [(2000, 0), (2000, 14), (2000, 16), (5000, 1), (5000, 2)])
+    def test_greedy_ends_where_covered_reversals_looped(self, n, seed):
+        data = five_column_chain(n, seed)
+        with deadline(60):
+            res = score_search(data, DiscoveryConfig(score="linear-gaussian", search="greedy"))
+        assert markov_equivalent(res.dag, FIVE_CHAIN)
+
+    @pytest.mark.parametrize("seed", [0, 8])
+    def test_greedy_reaches_the_exhaustive_optimum_on_five_columns(self, seed):
+        # on seed 8, taking rounding-size reversal gains as improvements
+        # once led greedy to a worse DAG
+        data = five_column_chain(2000, seed)
+        with deadline(60):
+            greedy = score_search(
+                data, DiscoveryConfig(score="linear-gaussian", search="greedy")
+            )
+        best = score_search(data, DiscoveryConfig(score="linear-gaussian"))
+        assert best.graphs_scored == 29281
+        assert markov_equivalent(best.dag, FIVE_CHAIN)
+        assert markov_equivalent(greedy.dag, best.dag)
+        assert abs(greedy.score - best.score) <= SCORE_TOL
+
+    def test_covered_reversal_and_its_undo_are_not_both_improvements(self):
+        data = five_column_chain(2000, 0)
+        family = _family_scorer(data, FIVE_CHAIN.nodes, "linear-gaussian")
+        logm = math.log(data.n)
+
+        def local(v, pmask):
+            ll, k = family(v, pmask)
+            return ll - 0.5 * k * logm
+
+        pa = list(FIVE_CHAIN._parent_masks)
+        a, b = FIVE_CHAIN.index("A"), FIVE_CHAIN.index("B")
+        turn = {mv: g for g, mv in _moves(local, pa)}[(REVERSE, a, b)]
+        assert abs(turn) <= SCORE_TOL  # A -> B is covered: a plateau move
+        _apply(pa, REVERSE, a, b)
+        undo = {mv: g for g, mv in _moves(local, pa)}[(REVERSE, b, a)]
+        assert undo == -turn
+        assert not (turn > SCORE_TOL or undo > SCORE_TOL)
+
+    def test_empty_dataset_rejected_by_both_searches(self):
+        data = Dataset.from_columns({c: np.zeros(0) for c in "XY"})
+        for search in ("exhaustive", "greedy"):
+            with pytest.raises(UsageError, match="empty dataset"):
+                score_search(data, DiscoveryConfig(score="linear-gaussian", search=search))
 
     @pytest.mark.parametrize("search", ["exhaustive", "greedy"])
     def test_unknown_score_model_rejected(self, search):

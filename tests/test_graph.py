@@ -306,6 +306,23 @@ class TestCountDags:
         nodes = [f"V{i}" for i in range(n)]
         assert count_dags(n) == sum(1 for _ in enumerate_dags(nodes))
 
+    @pytest.mark.parametrize("n", [3, 4])
+    def test_enumeration_keeps_acyclic_pair_states_in_product_order(self, n):
+        pairs = list(itertools.combinations(range(n), 2))
+        expected = []
+        for states in itertools.product((0, 1, 2), repeat=len(pairs)):
+            edges = {(i, j) if s == 1 else (j, i) for (i, j), s in zip(pairs, states) if s}
+            if any(
+                all(order.index(u) < order.index(v) for u, v in edges)
+                for order in itertools.permutations(range(n))
+            ):
+                expected.append(edges)
+        assert [set(g.edges) for g in enumerate_dags("ABCD"[:n])] == expected
+
+    def test_enumeration_rejects_duplicate_names(self):
+        with pytest.raises(UsageError, match="duplicate"):
+            next(enumerate_dags(["A", "B", "A"]))
+
 
 class TestTopologicalOrder:
     def test_complete3(self):

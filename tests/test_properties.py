@@ -18,9 +18,16 @@ from causelab import data as data_module
 from causelab.cgm import _check_front_door_shape
 from causelab.data import Dataset
 from causelab.discovery import (
+    ADD,
+    DELETE,
+    REVERSE,
+    SCORE_TOL,
     DiscoveryConfig,
     SkeletonResult,
     _acyclic_after,
+    _apply,
+    _family_scorer,
+    _moves,
     orient,
     pc_skeleton,
     sgs_skeleton,
@@ -711,13 +718,38 @@ def test_greedy_acyclicity_checks_match_dag_construction(g):
         except UsageError:
             return False
 
-    out = list(g._child_masks)
+    pa = list(g._parent_masks)
     for u, v in itertools.permutations(range(g.n), 2):
         if (u, v) in g.edges:
             turned = g.edges - {(u, v)} | {(v, u)}
-            assert _acyclic_after(out, u, v, reverse=True) == builds(turned)
+            assert _acyclic_after(pa, u, v, reverse=True) == builds(turned)
         elif (v, u) not in g.edges:
-            assert _acyclic_after(out, u, v, reverse=False) == builds(g.edges | {(u, v)})
+            assert _acyclic_after(pa, u, v, reverse=False) == builds(g.edges | {(u, v)})
+
+
+@settings(max_examples=60, deadline=None)
+@given(dags(max_nodes=5), st.integers(0, 2**32 - 1))
+def test_greedy_move_gains_are_exactly_undone(g, seed):
+    """The undo of every greedy move gains exactly the move's negated gain,
+    so a move and its undo never both count as improvements."""
+    rng = np.random.default_rng(seed)
+    mixed = rng.normal(size=(60, g.n)) @ rng.normal(size=(g.n, g.n))
+    data = Dataset.from_columns({name: mixed[:, k] for k, name in enumerate(g.nodes)})
+    family = _family_scorer(data, g.nodes, "linear-gaussian")
+    logm = math.log(data.n)
+
+    def local(v, pmask):
+        ll, k = family(v, pmask)
+        return ll - 0.5 * k * logm
+
+    undo_of = {ADD: DELETE, DELETE: ADD, REVERSE: REVERSE}
+    for gain, (kind, u, v) in _moves(local, list(g._parent_masks)):
+        after = list(g._parent_masks)
+        _apply(after, kind, u, v)
+        undo = (undo_of[kind], *((v, u) if kind == REVERSE else (u, v)))
+        back = {mv: b for b, mv in _moves(local, after)}[undo]
+        assert back == -gain
+        assert not (gain > SCORE_TOL and back > SCORE_TOL)
 
 
 @st.composite
@@ -763,8 +795,19 @@ def _ci_outcome(fn, *args):
         return type(exc)
 
 
+def _near_constant_query(seed, c):
+    """a ⫫ b | d with d = c a + 1: for tiny c, d's spread is a few units in
+    the last place of its mean, and its centring must keep that spread."""
+    rng = np.random.default_rng(seed)
+    a, b = rng.normal(size=(2, 15)) * 1e-3
+    return Dataset.from_columns({"A": a, "B": b, "D": c * a + 1.0}), "A", "B", ("D",)
+
+
 @settings(max_examples=400, deadline=None)
 @given(ci_queries())
+@example(query=_near_constant_query(0, 6e-14))
+@example(query=_near_constant_query(1, -3e-12))
+@example(query=_near_constant_query(2, -1e-8))
 def test_partial_correlation_matches_least_squares(query):
     data, a, b, z = query
     ours = _ci_outcome(ci_test, "partial-correlation", data, a, b, z)
