@@ -1,0 +1,111 @@
+#!/usr/bin/env python3
+"""Fingerprints of seeded outputs.
+
+Runs a fixed list of seeded `causelab` commands in a temporary directory
+and prints `sha256  command [output]` for each command's stdout and each
+file it writes, plus the CSV that `sample_cgm` writes for the frontdoor
+scenario's discrete model. Two checkouts produce byte-identical seeded
+outputs when their listings are identical:
+
+    PYTHONPATH=src python scripts/seeded_outputs.py > new.txt
+    PYTHONPATH=../old/src python scripts/seeded_outputs.py > old.txt
+    diff old.txt new.txt
+"""
+
+import argparse
+import hashlib
+import json
+import os
+import subprocess
+import sys
+import tempfile
+from pathlib import Path
+
+SCENARIOS = (
+    "genes-confounded", "simpson-reversal", "faithfulness-violation", "frontdoor",
+    "iv-linear", "halfsibling", "anm-nonlinear",
+)
+
+# Listed out of causal order; covers every noise kind and most of the grammar.
+MODEL = {"variables": [
+    {"name": "Y", "parents": ["X", "W", "Z"], "noise": {"kind": "gaussian", "mean": 0, "var": 1},
+     "expr": ["+", ["+", ["cube", ["*", 0.3, ["var", "W"]]], ["-", ["var", "X"], ["var", "Z"]]],
+              ["+", ["pow", ["var", "W"], 2], ["noise"]]]},
+    {"name": "S", "parents": ["Z", "X"], "noise": {"kind": "dirac", "point": 0},
+     "expr": ["table", {"inputs": [["var", "Z"], ["var", "X"]], "domains": [[0, 1], [0, 1]],
+                        "values": [0, 1, 1, 2]}]},
+    {"name": "X", "parents": ["Z"],
+     "noise": {"kind": "finite", "values": [0.0, 0.4, 0.8], "probs": [0.2, 0.5, 0.3]},
+     "expr": ["ind_ge", ["+", ["*", 0.5, ["var", "Z"]], ["noise"]], 0.6]},
+    {"name": "W", "parents": ["X"], "noise": {"kind": "uniform", "lo": -1, "hi": 1},
+     "expr": ["+", ["tanh", ["var", "X"]], ["noise"]]},
+    {"name": "Z", "parents": [], "noise": {"kind": "finite", "values": [0, 1], "probs": [0.3, 0.7]},
+     "expr": ["noise"]},
+]}
+EVIDENCE = ["--evidence", "Z=1", "--evidence", "X=1", "--evidence", "W=0.5",
+            "--evidence", "S=2", "--evidence", "Y=0.25"]
+
+
+def commands(n: int, seeds: list[int]) -> list[list[str]]:
+    cmds = [
+        ["generate", "--scenario", name, "--n", str(n), "--seed", str(seed),
+         "--out", f"{name}-{seed}.csv"]
+        for seed in seeds for name in SCENARIOS
+    ]
+    for seed in seeds:
+        run = ["--n", str(n), "--seed", str(seed)]
+        cmds += [
+            ["simulate", "--scm", "model.json", *run, "--out", f"model-{seed}.csv"],
+            ["intervene", "--scm", "model.json", "--set", "X=1", *run,
+             "--out", f"do-x-{seed}.csv", "--target", "Y"],
+            ["discover", "--data", f"frontdoor-{seed}.csv", "--method", "score",
+             "--seed", str(seed)],
+            ["discover", "--data", f"iv-linear-{seed}.csv", "--method", "score",
+             "--score-model", "linear-gaussian", "--search", "greedy", "--seed", str(seed)],
+        ]
+    cmds += [
+        ["counterfactual", "--scm", "model.json", *EVIDENCE, "--set", "Z=0", "--target", "X"],
+        ["counterfactual", "--scm", "model.json", *EVIDENCE, "--set", "X=0", "--target", "Y"],
+    ]
+    return cmds
+
+
+def digest(data: bytes) -> str:
+    return hashlib.sha256(data).hexdigest()
+
+
+def main():
+    parser = argparse.ArgumentParser(description=__doc__,
+                                     formatter_class=argparse.RawDescriptionHelpFormatter)
+    parser.add_argument("--n", type=int, default=3000)
+    parser.add_argument("--seeds", type=int, nargs="+", default=[1, 7])
+    args = parser.parse_args()
+
+    import causelab
+    from causelab.cgm import cgm_from_scm, sample_cgm
+    from causelab.scenarios import get_scenario
+
+    # the commands run in the temporary directory on the causelab imported here
+    env = {**os.environ, "PYTHONPATH": str(Path(causelab.__file__).resolve().parents[1])}
+    with tempfile.TemporaryDirectory() as tmp:
+        Path(tmp, "model.json").write_text(json.dumps(MODEL))
+        for argv in commands(args.n, args.seeds):
+            before = set(os.listdir(tmp))
+            res = subprocess.run([sys.executable, "-m", "causelab.cli", *argv], cwd=tmp,
+                                 env=env, capture_output=True, check=False)
+            label = "causelab " + " ".join(argv)
+            if res.returncode != 0:
+                sys.exit(f"{label}: exit {res.returncode}: {res.stderr.decode().strip()}")
+            print(f"{digest(res.stdout)}  {label} [stdout]")
+            for name in sorted(set(os.listdir(tmp)) - before):
+                print(f"{digest(Path(tmp, name).read_bytes())}  {label} [{name}]")
+        cgm = cgm_from_scm(get_scenario("frontdoor").scm)
+        for seed in args.seeds:
+            path = Path(tmp, f"cgm-{seed}.csv")
+            sample_cgm(cgm, args.n, seed).to_csv(path)
+            print(f"{digest(path.read_bytes())}  sample_cgm(frontdoor, n={args.n}, "
+                  f"seed={seed}) [{path.name}]")
+
+
+if __name__ == "__main__":
+    main()

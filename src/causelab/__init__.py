@@ -14,7 +14,7 @@ _EXPORTS = {
     " is_valid_adjustment_set markov_equivalent skeleton_and_vstructures"
     " topological_order",
     "scm": "CounterfactualDistribution Intervention Mechanism Scm counterfactual"
-    " induced_graph intervene interventional_mean ite reduced_form_sample sample",
+    " induced_graph intervene interventional_mean ite sample",
     "cgm": "Cpt DiscreteCgm Factor adjustment_formula cmi condition"
     " front_door_formula joint truncated_factorization",
 }

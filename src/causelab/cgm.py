@@ -28,6 +28,7 @@ from .scm import (
     Scm,
     Table,
     _eval_scalar,
+    _variable_streams,
     induced_graph,
 )
 
@@ -436,11 +437,7 @@ def cgm_from_scm(m: Scm) -> DiscreteCgm:
 
 def sample_cgm(m: DiscreteCgm, n: int, seed: int) -> Dataset:
     """Ancestral sampling from the CPTs; one stream per variable."""
-    root = np.random.SeedSequence(seed)
-    streams = {
-        name: np.random.Generator(np.random.Philox(child))
-        for name, child in zip(m.dag.nodes, root.spawn(len(m.dag.nodes)))
-    }
+    streams = _variable_streams(m.dag.nodes, seed)
     idx: dict[str, np.ndarray] = {}
     for i in topological_order(m.dag):
         name = m.dag.nodes[i]
@@ -509,7 +506,9 @@ def cgm_from_json(text: str) -> DiscreteCgm:
             cpts[name] = Cpt.from_rows(
                 name, parent_names, parent_doms, domains[name], rows
             )
-    except (json.JSONDecodeError, KeyError, TypeError, ValueError, IndexError) as exc:
+    except (
+        json.JSONDecodeError, KeyError, TypeError, ValueError, IndexError, RecursionError
+    ) as exc:
         raise UsageError(f"bad CGM JSON: {exc}") from exc
     return DiscreteCgm(dag=dag, domains=domains, cpts=cpts)
 

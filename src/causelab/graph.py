@@ -575,7 +575,7 @@ def dag_from_json(text: str) -> Dag:
     try:
         payload = json.loads(text)
         return Dag(payload["nodes"], [tuple(e) for e in payload.get("edges", [])])
-    except (json.JSONDecodeError, KeyError, TypeError, ValueError) as exc:
+    except (json.JSONDecodeError, KeyError, TypeError, ValueError, RecursionError) as exc:
         raise UsageError(f"bad graph JSON: {exc}") from exc
 
 
@@ -596,5 +596,5 @@ def cpdag_from_json(text: str) -> Cpdag:
             directed=frozenset(tuple(e) for e in payload.get("edges", [])),
             undirected=frozenset(tuple(e) for e in payload.get("undirected_edges", [])),
         )
-    except (json.JSONDecodeError, KeyError, TypeError, ValueError) as exc:
+    except (json.JSONDecodeError, KeyError, TypeError, ValueError, RecursionError) as exc:
         raise UsageError(f"bad CPDAG JSON: {exc}") from exc

@@ -2,9 +2,8 @@
 
 Mechanisms are expression trees (serializable, see the grammar in the
 README) rather than opaque callables. Sampling draws one independent
-noise stream per variable from a counter-based generator, so ordinary
-ancestral sampling and the noise-only reduced form consume noise in the
-same order and produce row-identical output for the same seed.
+noise stream per variable from a counter-based generator, so the same
+seed gives the same draws per variable, whatever is intervened on.
 
 Counterfactuals follow the abduction / action / prediction recipe.
 Abduction is exact and restricted to mechanism classes where it can be:
@@ -19,7 +18,7 @@ import itertools
 import json
 import math
 from dataclasses import dataclass
-from typing import Iterator, Mapping, Sequence
+from typing import Mapping, Sequence
 
 import numpy as np
 
@@ -55,13 +54,6 @@ class Var(Expr):
 @dataclass(frozen=True)
 class NoiseRef(Expr):
     """The owning variable's own exogenous noise."""
-
-
-@dataclass(frozen=True)
-class _TaggedNoise(Expr):
-    """Noise of a named variable; only appears in reduced-form trees."""
-
-    var: str
 
 
 @dataclass(frozen=True)
@@ -123,7 +115,7 @@ def _expr_refs(expr: Expr) -> tuple[set[str], bool]:
     return names, uses_noise
 
 
-def _eval(expr, values, noise, tagged=None):
+def _eval(expr, values, noise):
     """Vectorized evaluation; `values` maps parent names to arrays."""
     if isinstance(expr, Const):
         return expr.value
@@ -131,11 +123,9 @@ def _eval(expr, values, noise, tagged=None):
         return values[expr.name]
     if isinstance(expr, NoiseRef):
         return noise
-    if isinstance(expr, _TaggedNoise):
-        return tagged[expr.var]
     if isinstance(expr, BinOp):
-        left = _eval(expr.left, values, noise, tagged)
-        right = _eval(expr.right, values, noise, tagged)
+        left = _eval(expr.left, values, noise)
+        right = _eval(expr.right, values, noise)
         if expr.op == "+":
             return left + right
         if expr.op == "-":
@@ -146,7 +136,7 @@ def _eval(expr, values, noise, tagged=None):
             return left ** right
         raise UsageError(f"unknown operator {expr.op!r}")
     if isinstance(expr, Unary):
-        arg = _eval(expr.arg, values, noise, tagged)
+        arg = _eval(expr.arg, values, noise)
         if expr.op == "tanh":
             return np.tanh(arg)
         if expr.op == "cube":
@@ -155,12 +145,12 @@ def _eval(expr, values, noise, tagged=None):
             return np.sign(arg)
         raise UsageError(f"unknown unary {expr.op!r}")
     if isinstance(expr, IndicatorGe):
-        arg = _eval(expr.arg, values, noise, tagged)
+        arg = _eval(expr.arg, values, noise)
         return (np.asarray(arg) >= expr.threshold).astype(float)
     if isinstance(expr, Table):
         cols = np.broadcast_arrays(
             *(
-                np.atleast_1d(np.asarray(_eval(e, values, noise, tagged), dtype=float))
+                np.atleast_1d(np.asarray(_eval(e, values, noise), dtype=float))
                 for e in expr.inputs
             )
         )
@@ -176,30 +166,6 @@ def _eval(expr, values, noise, tagged=None):
         flat = np.ravel_multi_index(tuple(idx), sizes)
         return np.asarray(expr.values, dtype=float)[flat]
     raise UsageError(f"unknown expression node {type(expr).__name__}")
-
-
-def _substitute(expr: Expr, replacements: Mapping[str, Expr], owner: str) -> Expr:
-    if isinstance(expr, Var):
-        return replacements[expr.name]
-    if isinstance(expr, NoiseRef):
-        return _TaggedNoise(owner)
-    if isinstance(expr, BinOp):
-        return BinOp(
-            expr.op,
-            _substitute(expr.left, replacements, owner),
-            _substitute(expr.right, replacements, owner),
-        )
-    if isinstance(expr, Unary):
-        return Unary(expr.op, _substitute(expr.arg, replacements, owner))
-    if isinstance(expr, IndicatorGe):
-        return IndicatorGe(_substitute(expr.arg, replacements, owner), expr.threshold)
-    if isinstance(expr, Table):
-        return Table(
-            tuple(_substitute(e, replacements, owner) for e in expr.inputs),
-            expr.domains,
-            expr.values,
-        )
-    return expr
 
 
 def is_additive_noise(expr: Expr) -> bool:
@@ -231,6 +197,11 @@ class NoiseSpec:
         return False
 
 
+def _require_finite(*params: float) -> None:
+    if not all(map(math.isfinite, params)):
+        raise UsageError(f"noise parameters must be finite, got {list(params)}")
+
+
 @dataclass(frozen=True)
 class FiniteNoise(NoiseSpec):
     values: tuple[float, ...]
@@ -239,6 +210,7 @@ class FiniteNoise(NoiseSpec):
     def __post_init__(self):
         if len(self.values) != len(self.probs) or not self.values:
             raise UsageError("finite noise needs aligned nonempty values/probs")
+        _require_finite(*self.values, *self.probs)
         if any(p < 0 for p in self.probs):
             raise UsageError("negative probability")
         if abs(sum(self.probs) - 1.0) > 1e-12:
@@ -258,6 +230,7 @@ class GaussianNoise(NoiseSpec):
     var: float = 1.0
 
     def __post_init__(self):
+        _require_finite(self.mean, self.var)
         if self.var < 0:
             raise UsageError("variance must be >= 0")
 
@@ -271,6 +244,7 @@ class UniformNoise(NoiseSpec):
     hi: float
 
     def __post_init__(self):
+        _require_finite(self.lo, self.hi)
         if not self.lo < self.hi:
             raise UsageError("uniform noise needs lo < hi")
 
@@ -281,6 +255,9 @@ class UniformNoise(NoiseSpec):
 @dataclass(frozen=True)
 class DiracNoise(NoiseSpec):
     point: float
+
+    def __post_init__(self):
+        _require_finite(self.point)
 
     def sample(self, rng, n):
         return np.full(n, float(self.point))
@@ -379,70 +356,40 @@ def replace_noise(m: Scm, var: str, spec: NoiseSpec) -> Scm:
     return Scm(m.variables, dict(m.mechanisms), noises)
 
 
-def draw_noise(m: Scm, n: int, seed: int) -> dict[str, np.ndarray]:
-    """One stream per variable: child i of SeedSequence(seed), Philox-backed.
+def _variable_streams(names: Sequence[str], seed: int) -> dict[str, np.random.Generator]:
+    """One Philox stream per name: child i of SeedSequence(seed) for name i."""
+    children = np.random.SeedSequence(seed).spawn(len(names))
+    return {name: np.random.Generator(np.random.Philox(c)) for name, c in zip(names, children)}
 
-    The stream assignment depends only on the variable's position, never
-    on which mechanisms get evaluated, so interventions and the reduced
-    form see identical draws.
+
+def draw_noise(m: Scm, n: int, seed: int) -> dict[str, np.ndarray]:
+    """n draws of each variable's noise from that variable's stream.
+
+    A variable's stream depends only on its position, never on which
+    mechanisms get evaluated, so the same seed gives the same draws per
+    variable, whatever is intervened on.
     """
-    root = np.random.SeedSequence(seed)
-    children = root.spawn(len(m.variables))
-    return {
-        name: m.noises[name].sample(np.random.Generator(np.random.Philox(child)), n)
-        for name, child in zip(m.variables, children)
-    }
+    streams = _variable_streams(m.variables, seed)
+    return {name: m.noises[name].sample(streams[name], n) for name in m.variables}
+
+
+def _evaluate(m: Scm, noise: Mapping[str, np.ndarray], n: int) -> dict[str, np.ndarray]:
+    """Each variable's n values: the assignments evaluated once in causal order."""
+    values: dict[str, np.ndarray] = {}
+    # a non-finite value is reported by the caller's check, not as a warning
+    with np.errstate(invalid="ignore", over="ignore", divide="ignore"):
+        for idx in topological_order(induced_graph(m)):
+            name = m.variables[idx]
+            out = _eval(m.mechanisms[name].expr, values, noise[name])
+            values[name] = np.broadcast_to(np.asarray(out, dtype=float), (n,)).copy()
+    return {name: values[name] for name in m.variables}
 
 
 def sample(m: Scm, n: int, seed: int) -> Dataset:
     """Ancestral sampling: draw all noise, evaluate in topological order."""
     if n < 0:
         raise UsageError("n must be >= 0")
-    noise = draw_noise(m, n, seed)
-    g = induced_graph(m)
-    values: dict[str, np.ndarray] = {}
-    for idx in topological_order(g):
-        name = m.variables[idx]
-        mech = m.mechanisms[name]
-        out = _eval(mech.expr, values, noise[name])
-        values[name] = np.broadcast_to(np.asarray(out, dtype=float), (n,)).copy()
-    return Dataset.from_columns({name: values[name] for name in m.variables})
-
-
-def reduced_form_exprs(m: Scm) -> dict[str, Expr]:
-    """Each variable as a noise-only expression, by recursive substitution."""
-    memo: dict[str, Expr] = {}
-
-    def reduce(name: str) -> Expr:
-        if name not in memo:
-            mech = m.mechanisms[name]
-            subs = {p: reduce(p) for p in mech.parents}
-            memo[name] = _substitute(mech.expr, subs, name)
-        return memo[name]
-
-    for name in m.variables:
-        reduce(name)
-    return memo
-
-
-def reduced_form_sample(m: Scm, n: int, seed: int) -> Dataset:
-    """Push the same noise draws through the substituted-out expressions.
-
-    Same seed gives rows identical to sample(): the draws are shared and
-    re-evaluating a substituted subtree performs the same operations on
-    the same values.
-    """
-    if n < 0:
-        raise UsageError("n must be >= 0")
-    noise = draw_noise(m, n, seed)
-    reduced = reduced_form_exprs(m)
-    values = {
-        name: np.broadcast_to(
-            np.asarray(_eval(reduced[name], {}, None, tagged=noise), dtype=float), (n,)
-        ).copy()
-        for name in m.variables
-    }
-    return Dataset.from_columns(values)
+    return Dataset.from_columns(_evaluate(m, draw_noise(m, n, seed), n))
 
 
 def evaluate_with_noise(m: Scm, noise_row: Mapping[str, float]) -> dict[str, float]:
@@ -450,13 +397,8 @@ def evaluate_with_noise(m: Scm, noise_row: Mapping[str, float]) -> dict[str, flo
     missing = set(m.variables) - set(noise_row)
     if missing:
         raise UsageError(f"noise row missing variables {sorted(missing)}")
-    g = induced_graph(m)
-    values: dict[str, np.ndarray] = {}
-    for idx in topological_order(g):
-        name = m.variables[idx]
-        out = _eval(m.mechanisms[name].expr, values, np.asarray([float(noise_row[name])]))
-        values[name] = np.broadcast_to(np.asarray(out, dtype=float), (1,))
-    return {name: float(values[name][0]) for name in m.variables}
+    noise = {name: np.asarray([float(noise_row[name])]) for name in m.variables}
+    return {name: float(col[0]) for name, col in _evaluate(m, noise, 1).items()}
 
 
 @dataclass(frozen=True)
@@ -817,7 +759,8 @@ def scm_from_json(text: str) -> Scm:
         }
         noises = {e["name"]: _noise_from_obj(e["noise"]) for e in entries}
     except (
-        json.JSONDecodeError, KeyError, TypeError, ValueError, IndexError, AttributeError
+        json.JSONDecodeError, KeyError, TypeError, ValueError, IndexError, AttributeError,
+        RecursionError,
     ) as exc:
         raise UsageError(f"bad SCM JSON: {exc}") from exc
     return Scm(variables, mechanisms, noises)

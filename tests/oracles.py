@@ -11,6 +11,7 @@ import csv
 import io
 import itertools
 import math
+import operator
 
 import numpy as np
 
@@ -149,14 +150,94 @@ def enumerate_joint_from_cpts(cgm, do=None):
     return nodes, table
 
 
+def reduced_form_trees(m):
+    """Each variable as a noise-only tree, by recursive substitution.
+
+    A parent's tree replaces its Var, and a variable's own NoiseRef becomes
+    Var("noise:<variable>"), so no tree refers to another variable's value.
+    """
+    from causelab.scm import BinOp, IndicatorGe, NoiseRef, Table, Unary, Var
+
+    def substitute(expr, owner):
+        if isinstance(expr, Var):
+            return reduce(expr.name)
+        if isinstance(expr, NoiseRef):
+            return Var(f"noise:{owner}")
+        if isinstance(expr, BinOp):
+            return BinOp(expr.op, substitute(expr.left, owner), substitute(expr.right, owner))
+        if isinstance(expr, Unary):
+            return Unary(expr.op, substitute(expr.arg, owner))
+        if isinstance(expr, IndicatorGe):
+            return IndicatorGe(substitute(expr.arg, owner), expr.threshold)
+        if isinstance(expr, Table):
+            inputs = tuple(substitute(e, owner) for e in expr.inputs)
+            return Table(inputs, expr.domains, expr.values)
+        return expr
+
+    trees = {}
+
+    def reduce(name):
+        if name not in trees:
+            trees[name] = substitute(m.mechanisms[name].expr, name)
+        return trees[name]
+
+    return {name: reduce(name) for name in m.variables}
+
+
+def _eval_tree(expr, values):
+    """A tree's value on arrays, by an interpreter of its own rather than
+    scm._eval, so that a change to one operation there shows up here."""
+    from causelab.scm import BinOp, Const, IndicatorGe, Table, Unary, Var
+
+    if isinstance(expr, Const):
+        return expr.value
+    if isinstance(expr, Var):
+        return values[expr.name]
+    if isinstance(expr, BinOp):
+        ops = {"+": operator.add, "-": operator.sub, "*": operator.mul, "pow": operator.pow}
+        return ops[expr.op](_eval_tree(expr.left, values), _eval_tree(expr.right, values))
+    if isinstance(expr, Unary):
+        ops = {"tanh": np.tanh, "cube": lambda x: x * x * x, "sign": np.sign}
+        return ops[expr.op](_eval_tree(expr.arg, values))
+    if isinstance(expr, IndicatorGe):
+        return np.where(np.asarray(_eval_tree(expr.arg, values)) >= expr.threshold, 1.0, 0.0)
+    if isinstance(expr, Table):
+        lookup = dict(zip(itertools.product(*expr.domains), expr.values))
+        cols = np.broadcast_arrays(
+            *(np.atleast_1d(np.asarray(_eval_tree(e, values), dtype=float)) for e in expr.inputs)
+        )
+        return np.array([lookup[key] for key in zip(*(col.tolist() for col in cols))])
+    raise ValueError(f"unknown expression node {type(expr).__name__}")
+
+
+def reduced_form_values(m, noise, n):
+    """Each variable's n values from its noise-only tree on the given noise.
+
+    Re-evaluating a substituted subtree performs the same operations on the
+    same values as evaluating the parent once, so the result is bitwise the
+    same as the causal-order evaluation.
+    """
+    named = {f"noise:{name}": np.asarray(noise[name], dtype=float) for name in m.variables}
+    with np.errstate(all="ignore"):
+        return {
+            name: np.broadcast_to(np.asarray(_eval_tree(tree, named), dtype=float), (n,))
+            for name, tree in reduced_form_trees(m).items()
+        }
+
+
+def reduced_form_sample(m, n, seed):
+    """The dual of scm.sample: the same seed's draws pushed through the
+    noise-only trees."""
+    from causelab.data import Dataset
+    from causelab.scm import draw_noise
+
+    return Dataset.from_columns(reduced_form_values(m, draw_noise(m, n, seed), n))
+
+
 def counterfactual_by_enumeration(m, evidence, intervention, target):
-    """Weighted counterfactual outcomes by enumerating all noise configs."""
-    from causelab.scm import (
-        DiracNoise,
-        FiniteNoise,
-        evaluate_with_noise,
-        intervene,
-    )
+    """Weighted counterfactual outcomes by enumerating all noise configs,
+    each evaluated through the reduced form."""
+    from causelab.scm import DiracNoise, FiniteNoise, intervene
 
     supports = []
     for name in m.variables:
@@ -167,19 +248,22 @@ def counterfactual_by_enumeration(m, evidence, intervention, target):
             supports.append(list(zip(spec.values, spec.probs)))
         else:
             raise ValueError("enumeration oracle needs finite noise everywhere")
-    modified = intervene(m, intervention)
+    combos = list(itertools.product(*supports))
+    noise = {
+        name: [combo[k][0] for combo in combos] for k, name in enumerate(m.variables)
+    }
+    factual = reduced_form_values(m, noise, len(combos))
+    outcomes = reduced_form_values(intervene(m, intervention), noise, len(combos))[target]
     posterior = {}
     total = 0.0
-    for combo in itertools.product(*supports):
+    for row, combo in enumerate(combos):
         weight = math.prod(w for _, w in combo)
         if weight == 0.0:
             continue
-        noise_row = {name: u for name, (u, _) in zip(m.variables, combo)}
-        row = evaluate_with_noise(m, noise_row)
-        if any(abs(row[k] - evidence[k]) > 1e-9 for k in m.variables):
+        if any(abs(factual[k][row] - evidence[k]) > 1e-9 for k in m.variables):
             continue
         total += weight
-        out = evaluate_with_noise(modified, noise_row)[target]
+        out = float(outcomes[row])
         posterior[out] = posterior.get(out, 0.0) + weight
     if total == 0.0:
         raise ValueError("evidence has zero probability")

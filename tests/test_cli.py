@@ -489,6 +489,51 @@ class TestFileFaults:
         assert err.startswith("error: bad SCM JSON: ")
 
     @pytest.mark.parametrize(
+        "noise",
+        [
+            {"kind": "finite", "values": [0, 1], "probs": [math.nan, math.nan]},
+            {"kind": "gaussian", "mean": 0, "var": math.nan},
+            {"kind": "uniform", "lo": 0, "hi": math.inf},
+            {"kind": "dirac", "point": math.nan},
+        ],
+        ids=lambda noise: noise["kind"],
+    )
+    def test_non_finite_noise_parameter(self, capsys, tmp_path, noise):
+        path = tmp_path / "scm.json"
+        path.write_text(json.dumps(
+            {"variables": [{"name": "X", "parents": [], "expr": ["noise"], "noise": noise}]}
+        ))
+        err = self.one_line_error(capsys, ["simulate", "--scm", str(path), "--n", "5",
+                                           "--seed", "0", "--out", str(tmp_path / "s.csv")])
+        assert err.startswith("error: noise parameters must be finite, got [")
+
+    def test_deeply_nested_scm_expression(self, capsys, tmp_path):
+        path = tmp_path / "scm.json"
+        path.write_text(
+            '{"variables": [{"name": "X", "parents": [], "noise": {"kind": "dirac", '
+            '"point": 0}, "expr": ' + '["tanh", ' * 5000 + '["noise"]' + "]" * 5000 + "}]}"
+        )
+        err = self.one_line_error(capsys, ["simulate", "--scm", str(path), "--n", "5",
+                                           "--seed", "0", "--out", str(tmp_path / "s.csv")])
+        assert err.startswith("error: bad SCM JSON: maximum recursion depth exceeded")
+
+    def test_deeply_nested_graph(self, capsys, tmp_path):
+        path = tmp_path / "g.json"
+        path.write_text('{"nodes": ["A", "B"], "edges": ' + "[" * 5000 + "]" * 5000 + "}")
+        err = self.one_line_error(capsys, ["dsep", str(path), "A", "B"])
+        assert err.startswith("error: bad graph JSON: maximum recursion depth exceeded")
+
+    @pytest.mark.parametrize("kind", ["CPDAG", "CGM"])
+    def test_deeply_nested_json_in_library_readers(self, kind):
+        from causelab.cgm import cgm_from_json
+        from causelab.errors import UsageError
+        from causelab.graph import cpdag_from_json
+
+        reader = cpdag_from_json if kind == "CPDAG" else cgm_from_json
+        with pytest.raises(UsageError, match=f"bad {kind} JSON: maximum recursion depth"):
+            reader('{"nodes": ' + "[" * 5000 + "]" * 5000 + "}")
+
+    @pytest.mark.parametrize(
         "argv",
         [
             ["count-dags", "--n", "3", "--out", "{missing}/res.json"],
@@ -568,6 +613,20 @@ class TestNonFinite:
         captured = capsys.readouterr()
         assert code == 3 and captured.out == "" and not out.exists()
         assert captured.err.startswith("precondition failed: non-finite result")
+
+    def test_non_finite_sample_is_one_line_without_warnings(self, tmp_path):
+        path = tmp_path / "sqrt.json"
+        path.write_text(json.dumps({"variables": [
+            {"name": "X", "parents": [], "expr": ["pow", ["noise"], 0.5],
+             "noise": {"kind": "gaussian", "mean": 0, "var": 1}},
+        ]}))
+        res = subprocess.run(
+            [sys.executable, "-m", "causelab.cli", "simulate", "--scm", str(path),
+             "--n", "50", "--seed", "0", "--out", str(tmp_path / "s.csv")],
+            capture_output=True, text=True, env=_subprocess_env(), timeout=120,
+        )
+        assert res.returncode == 2 and res.stdout == ""
+        assert res.stderr == "error: column 'X' contains missing or infinite values\n"
 
 
 class TestCsvEncoding:

@@ -60,7 +60,22 @@ from causelab.kernels import (
     mmd,
     vc_bound,
 )
-from causelab.scm import sample
+from causelab.scm import (
+    BinOp,
+    Const,
+    FiniteNoise,
+    GaussianNoise,
+    IndicatorGe,
+    Mechanism,
+    NoiseRef,
+    Scm,
+    Unary,
+    UniformNoise,
+    Var,
+    draw_noise,
+    evaluate_with_noise,
+    sample,
+)
 
 from conftest import random_dag
 from oracles import (
@@ -79,6 +94,8 @@ from oracles import (
     permutations_by_seed,
     pc_skeleton_by_seen_tuples,
     pivoted_cholesky_of_gram,
+    reduced_form_sample,
+    reduced_form_values,
     ridge_residuals_dense,
     sgs_skeleton_by_pairs,
     sq_distances_by_loop,
@@ -336,6 +353,56 @@ def test_sampling_is_reproducible(seed, n):
     m = linear_gaussian_pair()
     d1, d2 = sample(m, n, seed), sample(m, n, seed)
     assert np.array_equal(d1.column("Y"), d2.column("Y"))
+
+
+_NOISES = (
+    GaussianNoise(),
+    UniformNoise(-1.0, 1.0),
+    FiniteNoise((-1.0, 0.5, 2.0), (0.2, 0.5, 0.3)),
+)
+
+
+@st.composite
+def grammar_scms(draw, max_nodes=6):
+    """SCMs on random DAGs, listed out of causal order, whose mechanisms are
+    drawn from Const, Var, NoiseRef, + - *, tanh, cube and ind_ge."""
+    names = [f"V{i}" for i in range(draw(st.integers(1, max_nodes)))]
+    order = draw(st.permutations(names))
+    mechanisms = {}
+    for pos, name in enumerate(order):
+        parents = tuple(draw(st.lists(st.sampled_from(order[:pos]), unique=True))) if pos else ()
+        leaves = st.one_of(
+            st.builds(Const, st.floats(-2.0, 2.0)),
+            st.just(NoiseRef()),
+            *([st.sampled_from(parents).map(Var)] if parents else []),
+        )
+        expr = draw(st.recursive(leaves, lambda sub: st.one_of(
+            st.builds(BinOp, st.sampled_from("+-*"), sub, sub),
+            st.builds(Unary, st.sampled_from(["tanh", "cube"]), sub),
+            st.builds(IndicatorGe, sub, st.floats(-1.0, 1.0)),
+        ), max_leaves=6))
+        mechanisms[name] = Mechanism(parents, expr)
+    noises = {name: draw(st.sampled_from(_NOISES)) for name in names}
+    return Scm(tuple(names), mechanisms, noises)
+
+
+@settings(max_examples=200, deadline=None)
+@given(grammar_scms(), st.integers(0, 2**32 - 1), st.integers(1, 9))
+def test_one_evaluator_matches_the_reduced_form_dual(m, seed, n):
+    noise = draw_noise(m, n, seed)
+    dual = reduced_form_values(m, noise, n)
+    if all(np.isfinite(col).all() for col in dual.values()):
+        data, reduced = sample(m, n, seed), reduced_form_sample(m, n, seed)
+        for v in m.variables:
+            assert data.column(v).tobytes() == reduced.column(v).tobytes(), v
+    else:
+        with pytest.raises(UsageError, match="missing or infinite"):
+            sample(m, n, seed)
+    for k in range(n):
+        row = evaluate_with_noise(m, {v: noise[v][k] for v in m.variables})
+        got = np.array([row[v] for v in m.variables])
+        want = np.array([dual[v][k] for v in m.variables])
+        assert np.array_equal(got, want, equal_nan=True), k
 
 
 @settings(max_examples=50, deadline=None)

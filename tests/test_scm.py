@@ -34,14 +34,13 @@ from causelab.scm import (
     interventional_mean,
     is_additive_noise,
     ite,
-    reduced_form_sample,
     replace_noise,
     sample,
     scm_from_json,
     scm_to_json,
 )
 
-from oracles import counterfactual_by_enumeration
+from oracles import counterfactual_by_enumeration, reduced_form_sample
 
 
 def linear_gaussian_pair():
