@@ -1,7 +1,8 @@
 #!/usr/bin/env python3
 """Fingerprints of seeded outputs.
 
-Runs a fixed list of seeded `causelab` commands in a temporary directory
+Runs a fixed list of `causelab` commands, one or more of each subcommand
+and of each `estimate` and `discover` method, in a temporary directory
 and prints `sha256  command [output]` for each command's stdout and each
 file it writes, plus the CSV that `sample_cgm` writes for the frontdoor
 scenario's discrete model. Two checkouts produce byte-identical seeded
@@ -44,6 +45,10 @@ MODEL = {"variables": [
 ]}
 EVIDENCE = ["--evidence", "Z=1", "--evidence", "X=1", "--evidence", "W=0.5",
             "--evidence", "S=2", "--evidence", "Y=0.25"]
+# M-bias: conditioning on the collider M connects T and Y's other cause B.
+GRAPH = {"nodes": ["A", "B", "M", "T", "Y"],
+         "edges": [["A", "T"], ["A", "M"], ["B", "M"], ["B", "Y"], ["T", "Y"]]}
+PERMS = ["--perms", "19"]
 
 
 def commands(n: int, seeds: list[int]) -> list[list[str]]:
@@ -62,10 +67,35 @@ def commands(n: int, seeds: list[int]) -> list[list[str]]:
              "--seed", str(seed)],
             ["discover", "--data", f"iv-linear-{seed}.csv", "--method", "score",
              "--score-model", "linear-gaussian", "--search", "greedy", "--seed", str(seed)],
+            *(["discover", "--data", f"faithfulness-violation-{seed}.csv", "--method", method,
+               "--seed", str(seed)] for method in ("pc", "sgs")),
+            ["discover", "--data", f"anm-nonlinear-{seed}.csv", "--method", "anm",
+             "--x", "X", "--y", "Y", *PERMS, "--seed", str(seed)],
+            *(["estimate", "--data", f"simpson-reversal-{seed}.csv", "--method", method,
+               "--y", "Y", "--t", "T", "--z", "Z"]
+              for method in ("rct", "regression", "matching", "stratified", "ipw")),
+            ["estimate", "--data", f"frontdoor-{seed}.csv", "--method", "front-door",
+             "--y", "Y", "--t", "T", "--mediator", "M"],
+            ["estimate", "--data", f"iv-linear-{seed}.csv", "--method", "2sls",
+             "--y", "Y", "--t", "T", "--instrument", "I"],
+            ["estimate", "--data", f"iv-linear-{seed}.csv", "--method", "rdd",
+             "--y", "Y", "--score", "I", "--cutoff", "0"],
+            *(["test-ci", "--data", f"iv-linear-{seed}.csv", "--a", "I", "--b", "Y",
+               "--given", "T", "--method", method, *PERMS, "--seed", str(seed)]
+              for method in ("partial-correlation", "kernel-residual")),
+            ["hsic", "--data", f"anm-nonlinear-{seed}.csv", "--x", "X", "--y", "Y", *PERMS,
+             "--seed", str(seed)],
+            ["mmd", "--data1", f"frontdoor-{seed}.csv", "--data2",
+             f"simpson-reversal-{seed}.csv", *PERMS, "--seed", str(seed)],
         ]
     cmds += [
         ["counterfactual", "--scm", "model.json", *EVIDENCE, "--set", "Z=0", "--target", "X"],
         ["counterfactual", "--scm", "model.json", *EVIDENCE, "--set", "X=0", "--target", "Y"],
+        ["dsep", "graph.json", "T", "B"],
+        ["dsep", "graph.json", "T", "B", "--given", "M"],
+        ["adjust", "--graph", "graph.json", "--treatment", "T", "--outcome", "Y"],
+        ["count-dags", "--n", "6"],
+        ["vc-bound", "--r-emp", "0.05", "--h", "10", "--m", "5000", "--delta", "0.01"],
     ]
     return cmds
 
@@ -89,6 +119,7 @@ def main():
     env = {**os.environ, "PYTHONPATH": str(Path(causelab.__file__).resolve().parents[1])}
     with tempfile.TemporaryDirectory() as tmp:
         Path(tmp, "model.json").write_text(json.dumps(MODEL))
+        Path(tmp, "graph.json").write_text(json.dumps(GRAPH))
         for argv in commands(args.n, args.seeds):
             before = set(os.listdir(tmp))
             res = subprocess.run([sys.executable, "-m", "causelab.cli", *argv], cwd=tmp,

@@ -6,7 +6,9 @@ codes: 0 success, 2 usage or parse error, 3 method precondition failure
 (weak instrument, overlap violation, separation, non-abducible model,
 a non-finite result). Seeded subcommands are bit-reproducible: identical
 invocations produce byte-identical outputs. Each handler imports the
-library modules it runs, so a subcommand loads only those.
+library modules it runs, so a subcommand loads only those. The methods
+of `estimate` and `discover` are declared once, in ESTIMATORS and
+DISCOVERERS.
 """
 
 from __future__ import annotations
@@ -16,6 +18,8 @@ import dataclasses
 import json
 import os
 import sys
+
+import numpy as np
 
 from .data import Dataset, _first_undecodable, write_atomic
 from .errors import PreconditionError, UsageError
@@ -63,6 +67,21 @@ def _load_dataset(path: str) -> Dataset:
     return data
 
 
+def _require(args, method: str, flags) -> None:
+    missing = [f"--{flag}" for flag in flags if getattr(args, flag) in (None, "", [])]
+    if missing:
+        raise UsageError(f"{method} requires {' and '.join(missing)}")
+
+
+def _fields(obj, *names) -> dict:
+    return {name: getattr(obj, name) for name in names}
+
+
+def _written(data: Dataset, args, *names) -> dict:
+    """The report of a subcommand that wrote `data` to --out."""
+    return {"rows": data.n, "columns": list(data.columns), **_fields(args, "out", "seed", *names)}
+
+
 # ---------------------------------------------------------------------------
 # Handlers
 
@@ -72,12 +91,8 @@ def cmd_dsep(args) -> dict:
 
     g = graph.dag_from_json(_read_text(args.graph))
     verdict = graph.d_separated(g, [args.a], [args.b], args.given or [])
-    return {
-        "d_separated": bool(verdict),
-        "a": args.a,
-        "b": args.b,
-        "given": sorted(args.given or []),
-    }
+    return {"d_separated": bool(verdict), **_fields(args, "a", "b"),
+            "given": sorted(args.given or [])}
 
 
 def cmd_adjust(args) -> dict:
@@ -86,8 +101,7 @@ def cmd_adjust(args) -> dict:
     g = graph.dag_from_json(_read_text(args.graph))
     result = graph.enumerate_adjustment_sets(g, args.treatment, args.outcome)
     return {
-        "treatment": args.treatment,
-        "outcome": args.outcome,
+        **_fields(args, "treatment", "outcome"),
         "valid_sets": [sorted(s) for s in result.sets],
         "parent_set": sorted(result.parent_set),
         "parent_set_valid": result.parent_set_valid,
@@ -106,7 +120,7 @@ def cmd_simulate(args) -> dict:
     m = scm.scm_from_json(_read_text(args.scm))
     data = scm.sample(m, args.n, args.seed)
     data.to_csv(args.out)
-    return {"rows": data.n, "columns": list(data.columns), "out": args.out, "seed": args.seed}
+    return _written(data, args)
 
 
 def cmd_intervene(args) -> dict:
@@ -114,11 +128,7 @@ def cmd_intervene(args) -> dict:
 
     m = scm.scm_from_json(_read_text(args.scm))
     iv = scm.Intervention(_parse_assignments(args.set))
-    payload: dict = {
-        "intervention": {k: v for k, v in sorted(iv.assignments.items())},
-        "n": args.n,
-        "seed": args.seed,
-    }
+    payload = {"intervention": dict(sorted(iv.assignments.items())), **_fields(args, "n", "seed")}
     if args.out:
         data = scm.sample(scm.intervene(m, iv), args.n, args.seed)
         data.to_csv(args.out)
@@ -140,7 +150,7 @@ def cmd_counterfactual(args) -> dict:
     dist = scm.counterfactual(m, evidence, iv, args.target)
     return {
         "target": args.target,
-        "intervention": {k: v for k, v in sorted(iv.assignments.items())},
+        "intervention": dict(sorted(iv.assignments.items())),
         "values": list(dist.values),
         "weights": list(dist.weights),
         "mean": dist.mean,
@@ -156,134 +166,100 @@ def _truth_path(out: str) -> str:
 def cmd_generate(args) -> dict:
     from .scenarios import get_scenario
 
-    scenario = get_scenario(args.scenario)
-    data, truth = scenario.generate(args.n, args.seed)
+    data, truth = get_scenario(args.scenario).generate(args.n, args.seed)
     data.to_csv(args.out)
     truth_path = _truth_path(args.out)
     write_atomic(truth_path, json.dumps(truth, sort_keys=True, indent=2) + "\n")
+    return {**_written(data, args, "scenario"), "truth": truth_path}
+
+
+def _skeleton_report(discovery, skel, cfg) -> dict:
+    from . import graph
+
+    cpdag = discovery.orient(skel)
     return {
-        "scenario": args.scenario,
-        "rows": data.n,
-        "columns": list(data.columns),
-        "out": args.out,
-        "truth": truth_path,
-        "seed": args.seed,
+        "skeleton": sorted(sorted(e) for e in skel.edges),
+        "v_structures": sorted(
+            list(v) for v in graph._colliders(cpdag.nodes, cpdag.directed, skel.edges)
+        ),
+        "cpdag": json.loads(graph.cpdag_to_json(cpdag)),
+        "separating_sets": {f"{a},{b}": sorted(s) for (a, b), s in sorted(skel.sepsets.items())},
+        "tests_performed": skel.tests_performed,
+        "alpha": cfg.alpha,
     }
 
 
+def _score_report(res, cfg) -> dict:
+    nodes = res.dag.nodes
+    return {
+        "dag": {"nodes": list(nodes), "edges": sorted([nodes[i], nodes[j]] for i, j in res.dag.edges)},
+        **_fields(res, "score", "graphs_scored"),
+        "score_model": cfg.score,
+        "search": cfg.search,
+    }
+
+
+def _anm_report(discovery, data, cfg, args) -> dict:
+    verdict = discovery.anm_direction(data, args.x, args.y, cfg)
+    return {**_fields(args, "x", "y"), "alpha": cfg.alpha,
+            **_fields(verdict, "direction", "p_forward", "p_backward", "margin")}
+
+
+# method: (the flags it requires, its report from the discovery module, data, config, args)
+DISCOVERERS = {
+    "pc": ((), lambda m, d, cfg, a: _skeleton_report(m, m.pc_skeleton(d, cfg), cfg)),
+    "sgs": ((), lambda m, d, cfg, a: _skeleton_report(m, m.sgs_skeleton(d, cfg), cfg)),
+    "score": ((), lambda m, d, cfg, a: _score_report(m.score_search(d, cfg), cfg)),
+    "anm": (("x", "y"), _anm_report),
+}
+
+
 def cmd_discover(args) -> dict:
-    from . import discovery, graph
+    from . import discovery
 
     data = _load_dataset(args.data)
     fields = {f.name for f in dataclasses.fields(discovery.DiscoveryConfig)}
     given = {k: v for k, v in vars(args).items() if k in fields and v is not None}
     cfg = discovery.DiscoveryConfig(**given)  # unset flags keep the config's defaults
-    if args.method in ("pc", "sgs"):
-        skel = (
-            discovery.pc_skeleton(data, cfg)
-            if args.method == "pc"
-            else discovery.sgs_skeleton(data, cfg)
-        )
-        cpdag = discovery.orient(skel)
-        return {
-            "method": args.method,
-            "skeleton": sorted(sorted(e) for e in skel.edges),
-            "v_structures": sorted(
-                list(v) for v in graph._colliders(cpdag.nodes, cpdag.directed, skel.edges)
-            ),
-            "cpdag": json.loads(graph.cpdag_to_json(cpdag)),
-            "separating_sets": {
-                f"{a},{b}": sorted(s) for (a, b), s in sorted(skel.sepsets.items())
-            },
-            "tests_performed": skel.tests_performed,
-            "alpha": cfg.alpha,
-            "seed": cfg.seed,
-        }
-    if args.method == "score":
-        res = discovery.score_search(data, cfg)
-        return {
-            "method": "score",
-            "dag": {
-                "nodes": list(res.dag.nodes),
-                "edges": sorted(
-                    [res.dag.nodes[i], res.dag.nodes[j]] for i, j in res.dag.edges
-                ),
-            },
-            "score": res.score,
-            "graphs_scored": res.graphs_scored,
-            "score_model": cfg.score,
-            "search": cfg.search,
-            "seed": cfg.seed,
-        }
-    if args.method == "anm":
-        if not args.x or not args.y:
-            raise UsageError("anm requires --x and --y")
-        verdict = discovery.anm_direction(data, args.x, args.y, cfg)
-        return {
-            "method": "anm",
-            "x": args.x,
-            "y": args.y,
-            "direction": verdict.direction,
-            "p_forward": verdict.p_forward,
-            "p_backward": verdict.p_backward,
-            "margin": verdict.margin,
-            "alpha": cfg.alpha,
-            "seed": cfg.seed,
-        }
-    raise UsageError(f"unknown discovery method {args.method!r}")
+    required, report = DISCOVERERS[args.method]
+    _require(args, args.method, required)
+    return {"method": args.method, "seed": cfg.seed, **report(discovery, data, cfg, args)}
+
+
+def _ate_ipw(e, data, args):
+    if args.propensity_column:
+        prop = data.column(args.propensity_column)
+    elif args.z:
+        prop = e.fit_propensity(data, args.t, args.z)
+    else:
+        raise UsageError(f"{args.method} requires --z (or --propensity-column)")
+    clip = e.DEFAULT_CLIP if args.clip is None else args.clip
+    return e.ate_ipw(data, args.y, args.t, args.z, prop, clip=clip)
+
+
+# method: (the flags it requires, its estimate from the estimation module, data, args)
+ESTIMATORS = {
+    "rct": (("t",), lambda e, d, a: e.ate_rct(d, a.y, a.t)),
+    "regression": (("t",), lambda e, d, a: e.ate_regression_adjustment(
+        d, a.y, a.t, a.z, regressor=a.regressor)),
+    "matching": (("t",), lambda e, d, a: e.ate_nn_matching(d, a.y, a.t, a.z)),
+    "stratified": (("t", "z"), lambda e, d, a: e.ate_stratified(d, a.y, a.t, a.z)),
+    "ipw": (("t",), _ate_ipw),
+    "front-door": (("t", "mediator"), lambda e, d, a: e.ate_front_door(d, a.y, a.t, a.mediator)),
+    "2sls": (("t", "instrument"), lambda e, d, a: e.ate_iv_2sls(d, a.y, a.t, a.instrument)),
+    "rdd": (("score", "cutoff"),
+            lambda e, d, a: e.ate_rdd(d, a.y, a.score, a.cutoff, a.epsilon)),
+}
 
 
 def cmd_estimate(args) -> dict:
     from . import estimation
 
     data = _load_dataset(args.data)
-    method = args.method
-    if method != "rdd" and not args.t:
-        raise UsageError(f"method {method!r} requires --t")
-    z = args.z or []
-    if method == "rct":
-        est = estimation.ate_rct(data, args.y, args.t)
-    elif method == "regression":
-        est = estimation.ate_regression_adjustment(
-            data, args.y, args.t, z, regressor=args.regressor
-        )
-    elif method == "matching":
-        est = estimation.ate_nn_matching(data, args.y, args.t, z)
-    elif method == "stratified":
-        if not z:
-            raise UsageError("stratified estimation requires --z")
-        est = estimation.ate_stratified(data, args.y, args.t, z)
-    elif method == "ipw":
-        if args.propensity_column:
-            prop = data.column(args.propensity_column)
-        else:
-            if not z:
-                raise UsageError("ipw requires --z (or --propensity-column)")
-            prop = estimation.fit_propensity(data, args.t, z)
-        clip = estimation.DEFAULT_CLIP if args.clip is None else args.clip
-        est = estimation.ate_ipw(data, args.y, args.t, z, prop, clip=clip)
-    elif method == "front-door":
-        if not args.mediator:
-            raise UsageError("front-door requires --mediator")
-        est = estimation.ate_front_door(data, args.y, args.t, args.mediator)
-    elif method == "2sls":
-        if not args.instrument:
-            raise UsageError("2sls requires --instrument")
-        est = estimation.ate_iv_2sls(data, args.y, args.t, args.instrument)
-    elif method == "rdd":
-        if args.score is None or args.cutoff is None:
-            raise UsageError("rdd requires --score and --cutoff")
-        est = estimation.ate_rdd(
-            data, args.y, args.score, args.cutoff, args.epsilon
-        )
-    else:
-        raise UsageError(f"unknown estimator {method!r}")
-    payload = {
-        "estimator": est.estimator,
-        "ate": est.ate,
-        "diagnostics": est.diagnostics,
-        "seed": args.seed,
-    }
+    required, estimate = ESTIMATORS[args.method]
+    _require(args, args.method, required)
+    est = estimate(estimation, data, args)
+    payload = {**_fields(est, "estimator", "ate", "diagnostics"), "seed": args.seed}
     if est.stderr is not None:
         payload["stderr"] = est.stderr
     if est.cate is not None:
@@ -305,26 +281,13 @@ def cmd_test_ci(args) -> dict:
 
     kernels._check_alpha(args.alpha)
     data = _load_dataset(args.data)
-    res = kernels.ci_test(
-        args.method,
-        data,
-        args.a,
-        args.b,
-        tuple(args.given or ()),
-        perms=_perms(args),
-        seed=args.seed,
-    )
+    given = tuple(args.given or ())
+    res = kernels.ci_test(args.method, data, args.a, args.b, given, _perms(args), args.seed)
     return {
-        "method": res.method,
-        "a": args.a,
-        "b": args.b,
-        "given": sorted(args.given or []),
-        "statistic": res.statistic,
-        "p_value": res.p_value,
-        "cond_set_size": res.cond_set_size,
-        "alpha": args.alpha,
+        **_fields(args, "a", "b", "alpha", "seed"),
+        **_fields(res, "method", "statistic", "p_value", "cond_set_size"),
+        "given": sorted(given),
         "reject": res.p_value <= args.alpha,
-        "seed": args.seed,
     }
 
 
@@ -334,19 +297,10 @@ def cmd_mmd(args) -> dict:
     d1 = _load_dataset(args.data1)
     d2 = _load_dataset(args.data2)
     res = kernels.mmd(
-        None,
-        d1.matrix(d1.columns),
-        d2.matrix(d2.columns),
-        perms=_perms(args),
-        seed=args.seed,
+        None, d1.matrix(d1.columns), d2.matrix(d2.columns), perms=_perms(args), seed=args.seed
     )
-    return {
-        "statistic": res.statistic,
-        "unbiased": res.unbiased,
-        "p_value": res.p_value,
-        "permutations": res.n_permutations,
-        "seed": res.seed,
-    }
+    return {**_fields(res, "statistic", "unbiased", "p_value", "seed"),
+            "permutations": res.n_permutations}
 
 
 def cmd_hsic(args) -> dict:
@@ -355,38 +309,42 @@ def cmd_hsic(args) -> dict:
     data = _load_dataset(args.data)
     perms = _perms(args)
     res = kernels.hsic_test(
-        None,
-        None,
-        data.column(args.x),
-        data.column(args.y),
-        perms=perms,
-        seed=args.seed,
+        None, None, data.column(args.x), data.column(args.y), perms=perms, seed=args.seed
     )
-    return {
-        "x": args.x,
-        "y": args.y,
-        "statistic": res.statistic,
-        "p_value": res.p_value,
-        "permutations": perms,
-        "seed": args.seed,
-    }
+    return {**_fields(args, "x", "y", "seed"), **_fields(res, "statistic", "p_value"),
+            "permutations": perms}
 
 
 def cmd_vc_bound(args) -> dict:
     from . import kernels
 
     value = kernels.vc_bound(args.r_emp, args.h, args.m, args.delta)
-    return {
-        "r_emp": args.r_emp,
-        "h": args.h,
-        "m": args.m,
-        "delta": args.delta,
-        "bound": value,
-    }
+    return {**_fields(args, "r_emp", "h", "m", "delta"), "bound": value}
 
 
 # ---------------------------------------------------------------------------
 # Parser
+
+
+def _arg(*flags, **kwargs):
+    return flags, kwargs
+
+
+def _req(*flags, **kwargs):
+    return _arg(*flags, required=True, **kwargs)
+
+
+# flags that several subcommands declare alike, named by their dest
+_COMMON = {
+    "data": _req("--data"),
+    "n": _req("--n", type=int),
+    "seed": _req("--seed", type=int),
+    "perms": _arg("--perms", type=int),
+    "scm": _req("--scm"),
+    "set": _req("--set", action="append", metavar="VAR=VALUE"),
+    "given": _arg("--given", nargs="*", default=[]),
+}
+_CI_METHODS = ["partial-correlation", "kernel-residual"]
 
 
 def build_parser() -> argparse.ArgumentParser:
@@ -396,133 +354,56 @@ def build_parser() -> argparse.ArgumentParser:
     )
     sub = parser.add_subparsers(dest="command", required=True)
 
-    p = sub.add_parser("dsep", help="d-separation query on a graph JSON file")
-    p.add_argument("graph")
-    p.add_argument("a")
-    p.add_argument("b")
-    p.add_argument("--given", nargs="*", default=[])
-    p.add_argument("--out")
-    p.set_defaults(handler=cmd_dsep)
+    def command(name, handler, help, *specs, out_required=False):
+        """A subcommand whose flags, each a _COMMON name or an _arg, come in
+        the order given, then --out."""
+        p = sub.add_parser(name, help=help)
+        for spec in specs:
+            flags, kwargs = _COMMON[spec] if isinstance(spec, str) else spec
+            p.add_argument(*flags, **kwargs)
+        p.add_argument("--out", required=out_required)
+        p.set_defaults(handler=handler)
 
-    p = sub.add_parser("adjust", help="enumerate valid adjustment sets")
-    p.add_argument("--graph", required=True)
-    p.add_argument("--treatment", required=True)
-    p.add_argument("--outcome", required=True)
-    p.add_argument("--out")
-    p.set_defaults(handler=cmd_adjust)
-
-    p = sub.add_parser("count-dags", help="number of labeled DAGs on n nodes")
-    p.add_argument("--n", type=int, required=True)
-    p.add_argument("--out")
-    p.set_defaults(handler=cmd_count_dags)
-
-    p = sub.add_parser("simulate", help="ancestral sampling from an SCM JSON file")
-    p.add_argument("--scm", required=True)
-    p.add_argument("--n", type=int, required=True)
-    p.add_argument("--seed", type=int, required=True)
-    p.add_argument("--out", required=True)
-    p.set_defaults(handler=cmd_simulate)
-
-    p = sub.add_parser("intervene", help="sample or summarize under do()")
-    p.add_argument("--scm", required=True)
-    p.add_argument("--set", action="append", metavar="VAR=VALUE", required=True)
-    p.add_argument("--n", type=int, required=True)
-    p.add_argument("--seed", type=int, required=True)
-    p.add_argument("--target")
-    p.add_argument("--out")
-    p.set_defaults(handler=cmd_intervene)
-
-    p = sub.add_parser("counterfactual", help="abduction-action-prediction query")
-    p.add_argument("--scm", required=True)
-    p.add_argument("--evidence", action="append", metavar="VAR=VALUE", required=True)
-    p.add_argument("--set", action="append", metavar="VAR=VALUE", required=True)
-    p.add_argument("--target", required=True)
-    p.add_argument("--out")
-    p.set_defaults(handler=cmd_counterfactual)
-
-    p = sub.add_parser("generate", help="scenario dataset plus ground-truth file")
-    p.add_argument("--scenario", required=True)
-    p.add_argument("--n", type=int, required=True)
-    p.add_argument("--seed", type=int, required=True)
-    p.add_argument("--out", required=True)
-    p.set_defaults(handler=cmd_generate)
-
-    p = sub.add_parser("discover", help="structure learning on a CSV dataset")
-    p.add_argument("--data", required=True)
-    p.add_argument("--method", required=True, choices=["pc", "sgs", "score", "anm"])
-    p.add_argument("--alpha", type=float)
-    p.add_argument("--ci", dest="ci_method", choices=["partial-correlation", "kernel-residual"])
-    p.add_argument("--max-cond", dest="max_cond_size", type=int)
-    p.add_argument("--score-model", dest="score", choices=["multinomial", "linear-gaussian"])
-    p.add_argument("--search", choices=["exhaustive", "greedy"])
-    p.add_argument("--perms", type=int)
-    p.add_argument("--seed", type=int, required=True)
-    p.add_argument("--x")
-    p.add_argument("--y")
-    p.add_argument("--out")
-    p.set_defaults(handler=cmd_discover)
-
-    p = sub.add_parser("estimate", help="treatment-effect estimation on a CSV dataset")
-    p.add_argument("--data", required=True)
-    p.add_argument(
-        "--method",
-        required=True,
-        choices=["rct", "regression", "matching", "stratified", "ipw",
-                 "front-door", "2sls", "rdd"],
-    )
-    p.add_argument("--y", required=True)
-    p.add_argument("--t")
-    p.add_argument("--z", nargs="*", default=[])
-    p.add_argument("--mediator")
-    p.add_argument("--instrument")
-    p.add_argument("--score")
-    p.add_argument("--cutoff", type=float)
-    p.add_argument("--epsilon", type=float, default=0.1)
-    p.add_argument("--regressor", default="linear", choices=["linear", "kernel-ridge"])
-    p.add_argument("--propensity-column")
-    p.add_argument("--clip", type=float)
-    p.add_argument("--seed", type=int)
-    p.add_argument("--out")
-    p.set_defaults(handler=cmd_estimate)
-
-    p = sub.add_parser("test-ci", help="conditional independence test")
-    p.add_argument("--data", required=True)
-    p.add_argument("--a", required=True)
-    p.add_argument("--b", required=True)
-    p.add_argument("--given", nargs="*", default=[])
-    p.add_argument("--method", default="partial-correlation",
-                   choices=["partial-correlation", "kernel-residual"])
-    p.add_argument("--alpha", type=float, default=0.05)
-    p.add_argument("--perms", type=int)
-    p.add_argument("--seed", type=int, default=0)
-    p.add_argument("--out")
-    p.set_defaults(handler=cmd_test_ci)
-
-    p = sub.add_parser("mmd", help="kernel two-sample test between two CSV files")
-    p.add_argument("--data1", required=True)
-    p.add_argument("--data2", required=True)
-    p.add_argument("--perms", type=int)
-    p.add_argument("--seed", type=int, required=True)
-    p.add_argument("--out")
-    p.set_defaults(handler=cmd_mmd)
-
-    p = sub.add_parser("hsic", help="kernel independence test between two columns")
-    p.add_argument("--data", required=True)
-    p.add_argument("--x", required=True)
-    p.add_argument("--y", required=True)
-    p.add_argument("--perms", type=int)
-    p.add_argument("--seed", type=int, required=True)
-    p.add_argument("--out")
-    p.set_defaults(handler=cmd_hsic)
-
-    p = sub.add_parser("vc-bound", help="capacity risk bound evaluation")
-    p.add_argument("--r-emp", type=float, required=True)
-    p.add_argument("--h", type=int, required=True)
-    p.add_argument("--m", type=int, required=True)
-    p.add_argument("--delta", type=float, required=True)
-    p.add_argument("--out")
-    p.set_defaults(handler=cmd_vc_bound)
-
+    command("dsep", cmd_dsep, "d-separation query on a graph JSON file",
+            _arg("graph"), _arg("a"), _arg("b"), "given")
+    command("adjust", cmd_adjust, "enumerate valid adjustment sets",
+            _req("--graph"), _req("--treatment"), _req("--outcome"))
+    command("count-dags", cmd_count_dags, "number of labeled DAGs on n nodes", "n")
+    command("simulate", cmd_simulate, "ancestral sampling from an SCM JSON file",
+            "scm", "n", "seed", out_required=True)
+    command("intervene", cmd_intervene, "sample or summarize under do()",
+            "scm", "set", "n", "seed", _arg("--target"))
+    command("counterfactual", cmd_counterfactual, "abduction-action-prediction query",
+            "scm", _req("--evidence", action="append", metavar="VAR=VALUE"), "set",
+            _req("--target"))
+    command("generate", cmd_generate, "scenario dataset plus ground-truth file",
+            _req("--scenario"), "n", "seed", out_required=True)
+    command("discover", cmd_discover, "structure learning on a CSV dataset",
+            "data", _req("--method", choices=list(DISCOVERERS)), _arg("--alpha", type=float),
+            _arg("--ci", dest="ci_method", choices=_CI_METHODS),
+            _arg("--max-cond", dest="max_cond_size", type=int),
+            _arg("--score-model", dest="score", choices=["multinomial", "linear-gaussian"]),
+            _arg("--search", choices=["exhaustive", "greedy"]), "perms", "seed",
+            _arg("--x"), _arg("--y"))
+    command("estimate", cmd_estimate, "treatment-effect estimation on a CSV dataset",
+            "data", _req("--method", choices=list(ESTIMATORS)), _req("--y"), _arg("--t"),
+            _arg("--z", nargs="*", default=[]), _arg("--mediator"), _arg("--instrument"),
+            _arg("--score"), _arg("--cutoff", type=float),
+            _arg("--epsilon", type=float, default=0.1),
+            _arg("--regressor", default="linear", choices=["linear", "kernel-ridge"]),
+            _arg("--propensity-column"), _arg("--clip", type=float), _arg("--seed", type=int))
+    command("test-ci", cmd_test_ci, "conditional independence test",
+            "data", _req("--a"), _req("--b"), "given",
+            _arg("--method", default="partial-correlation", choices=_CI_METHODS),
+            _arg("--alpha", type=float, default=0.05), "perms",
+            _arg("--seed", type=int, default=0))
+    command("mmd", cmd_mmd, "kernel two-sample test between two CSV files",
+            _req("--data1"), _req("--data2"), "perms", "seed")
+    command("hsic", cmd_hsic, "kernel independence test between two columns",
+            "data", _req("--x"), _req("--y"), "perms", "seed")
+    command("vc-bound", cmd_vc_bound, "capacity risk bound evaluation",
+            _req("--r-emp", type=float), _req("--h", type=int), _req("--m", type=int),
+            _req("--delta", type=float))
     return parser
 
 
@@ -530,13 +411,14 @@ _FILE_PRODUCING = {"simulate", "generate", "intervene"}  # --out is a CSV there
 
 
 def main(argv=None) -> int:
-    parser = build_parser()
-    args = parser.parse_args(argv)
-    json_out = None if args.command in _FILE_PRODUCING else getattr(args, "out", None)
+    args = build_parser().parse_args(argv)
     try:
         if getattr(args, "seed", None) is not None and args.seed < 0:
             raise UsageError(f"seed must be >= 0, got {args.seed}")
-        _emit(args.handler(args), json_out)
+        # a non-finite result exits 3 through _emit, not as numpy warnings on stderr
+        with np.errstate(over="ignore", invalid="ignore", divide="ignore"):
+            payload = args.handler(args)
+        _emit(payload, None if args.command in _FILE_PRODUCING else args.out)
     except UsageError as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 2

@@ -23,7 +23,7 @@ from .errors import (
     UsageError,
     WeakInstrumentError,
 )
-from .kernels import DEFAULT_RIDGE_SCALE, _sq_distances, kernel_ridge_fit
+from .kernels import _sq_distances, kernel_ridge_fit
 
 DEFAULT_CLIP = 0.01
 WEAK_INSTRUMENT_TSTAT = 3.0
@@ -75,6 +75,8 @@ def _split(data: Dataset, y: str, t: str) -> tuple[np.ndarray, np.ndarray]:
 def _standardize(zmat: np.ndarray) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
     mean = zmat.mean(axis=0) if zmat.size else np.zeros(zmat.shape[1])
     scale = zmat.std(axis=0) if zmat.size else np.ones(zmat.shape[1])
+    if not np.isfinite(scale).all():
+        raise PreconditionError("a covariate's standard deviation overflows")
     scale = np.where(scale > 0, scale, 1.0)
     return (zmat - mean) / scale, mean, scale
 
@@ -99,14 +101,12 @@ def ate_rct(data: Dataset, y: str, t: str) -> EffectEstimate:
 def _fit_outcome_model(zmat, yv, regressor):
     if regressor == "linear":
         design = np.column_stack([np.ones(len(zmat)), zmat])
-        beta, *_ = np.linalg.lstsq(design, yv, rcond=None)
-        rank = np.linalg.matrix_rank(design)
+        beta, _, rank, _ = np.linalg.lstsq(design, yv, rcond=None)
         if rank < design.shape[1]:
             raise PreconditionError("singular design in outcome regression")
         return lambda q: np.column_stack([np.ones(len(q)), q]) @ beta
     if regressor == "kernel-ridge":
-        fit = kernel_ridge_fit(zmat, yv, ridge_scale=DEFAULT_RIDGE_SCALE)
-        return lambda q: fit.predict(q)
+        return kernel_ridge_fit(zmat, yv).predict
     raise UsageError(f"unknown regressor {regressor!r}")
 
 
@@ -421,15 +421,24 @@ def ate_front_door(data: Dataset, y: str, t: str, mdtr: str) -> EffectEstimate:
 
 
 def _ols(x: np.ndarray, yv: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
-    """Coefficients (intercept, slope) of y ~ 1 + x and their covariance."""
-    if np.ptp(x) == 0:
-        raise PreconditionError("constant regressor: the least-squares fit is singular")
+    """Coefficients (intercept, slope) of y ~ 1 + x and their covariance.
+
+    The fit is singular when rounding loses x's spread: in the design's
+    rank (lstsq's cutoff is matrix_rank's), or in XᵀX, which squares the
+    design's condition number and can then be singular or indefinite.
+    """
     n = len(x)
     design = np.column_stack([np.ones(n), x])
-    beta, *_ = np.linalg.lstsq(design, yv, rcond=None)
+    beta, _, rank, _ = np.linalg.lstsq(design, yv, rcond=None)
+    try:
+        inverse = np.linalg.inv(design.T @ design)
+    except np.linalg.LinAlgError:
+        inverse = np.zeros((2, 2))
+    if rank < 2 or (inverse.diagonal() <= 0).any():
+        raise PreconditionError("constant regressor: the least-squares fit is singular")
     resid = yv - design @ beta
     sigma2 = float(resid @ resid) / max(n - 2, 1)
-    return beta, sigma2 * np.linalg.inv(design.T @ design)
+    return beta, sigma2 * inverse
 
 
 def ate_iv_2sls(
@@ -528,13 +537,4 @@ def half_sibling_regress(
         siblings = siblings.T
     if siblings.shape[0] != len(target):
         raise UsageError("siblings matrix must align with the target series")
-    if regressor == "linear":
-        design = np.column_stack([np.ones(len(target)), siblings])
-        if np.linalg.matrix_rank(design) < design.shape[1]:
-            raise PreconditionError("rank-deficient sibling matrix")
-        beta, *_ = np.linalg.lstsq(design, target, rcond=None)
-        return target - design @ beta
-    if regressor == "kernel-ridge":
-        fit = kernel_ridge_fit(siblings, target)
-        return target - fit.predict(siblings)
-    raise UsageError(f"unknown regressor {regressor!r}")
+    return target - _fit_outcome_model(siblings, target, regressor)(siblings)

@@ -82,8 +82,8 @@ class GaussianKernel(Kernel):
     bandwidth: float
 
     def __post_init__(self):
-        if not self.bandwidth > 0:
-            raise UsageError("bandwidth must be > 0")
+        if not (self.bandwidth > 0 and math.isfinite(self.bandwidth * self.bandwidth)):
+            raise UsageError("bandwidth must be > 0 with a finite square")
 
     def __call__(self, xs: np.ndarray, ys: np.ndarray) -> np.ndarray:
         return np.exp(-_sq_distances(xs, ys) / (2.0 * self.bandwidth**2))
@@ -232,12 +232,22 @@ def median_heuristic(xs, ys=None) -> float:
     No bandwidth is canonical; this is the documented default, computed
     on the pooled sample so it is invariant to permutations. Falls back
     to 1.0 when all points coincide. A distance is sqrt(fl(d^2)), so one
-    whose square underflows counts as zero. One-column samples select
-    the median from the sorted sample; wider ones hold all m(m-1)/2
-    distances, within KERNEL_BYTES_CAP.
+    whose square underflows counts as zero. A median whose square
+    overflows (a spread of about 1e154 or more) raises PreconditionError.
+    One-column samples select the median from the sorted sample; wider
+    ones hold all m(m-1)/2 distances, within KERNEL_BYTES_CAP.
     """
     xs = _as_matrix(xs)
-    pool = xs if ys is None else np.vstack([xs, _as_matrix(ys)])
+    bandwidth = _median_distance(xs if ys is None else np.vstack([xs, _as_matrix(ys)]))
+    if not math.isfinite(bandwidth * bandwidth):
+        raise PreconditionError(
+            f"median heuristic bandwidth {bandwidth!r} has no finite square: "
+            "the sample's spread is too large"
+        )
+    return bandwidth
+
+
+def _median_distance(pool: np.ndarray) -> float:
     m = len(pool)
     if pool.shape[1] == 1:
         s = np.sort(pool[:, 0])

@@ -404,6 +404,26 @@ class TestBadFlagValues:
         assert code == 3 and captured.out == ""
         assert captured.err == "precondition failed: degenerate residuals: singular covariance\n"
 
+    @pytest.mark.parametrize(
+        "argv, message",
+        [
+            (["estimate", "--method", "rct", "--y", "Y"], "rct requires --t"),
+            (["estimate", "--method", "stratified", "--y", "Y", "--t", "X"],
+             "stratified requires --z"),
+            (["estimate", "--method", "2sls", "--y", "Y"], "2sls requires --t and --instrument"),
+            (["estimate", "--method", "rdd", "--y", "Y"], "rdd requires --score and --cutoff"),
+            (["estimate", "--method", "rdd", "--y", "Y", "--cutoff", "0"],
+             "rdd requires --score"),
+            (["estimate", "--method", "ipw", "--y", "Y", "--t", "X"],
+             "ipw requires --z (or --propensity-column)"),
+            (["discover", "--method", "anm", "--x", "X", "--seed", "0"], "anm requires --y"),
+        ],
+    )
+    def test_missing_method_flags_exit2_naming_them(self, capsys, xyz_csv, argv, message):
+        code = main([argv[0], "--data", xyz_csv, *argv[1:]])
+        captured = capsys.readouterr()
+        assert code == 2 and captured.out == "" and captured.err == f"error: {message}\n"
+
     def test_mmd_zero_perms_exit2(self, capsys, xyz_csv):
         code = main(["mmd", "--data1", xyz_csv, "--data2", xyz_csv, "--perms", "0",
                      "--seed", "0"])
@@ -614,6 +634,18 @@ class TestNonFinite:
         assert code == 3 and captured.out == "" and not out.exists()
         assert captured.err.startswith("precondition failed: non-finite result")
 
+    def test_overflowing_result_is_one_line_without_warnings(self, tmp_path):
+        path = tmp_path / "huge.csv"
+        path.write_text("Y,T\n1e308,1\n1e308,1\n0.0,0\n1.0,0\n")
+        res = subprocess.run(
+            [sys.executable, "-m", "causelab.cli", "estimate", "--data", str(path),
+             "--method", "rct", "--y", "Y", "--t", "T"],
+            capture_output=True, text=True, env=_subprocess_env(), timeout=120,
+        )
+        assert res.returncode == 3 and res.stdout == ""
+        assert res.stderr.startswith("precondition failed: non-finite result")
+        assert res.stderr.count("\n") == 1
+
     def test_non_finite_sample_is_one_line_without_warnings(self, tmp_path):
         path = tmp_path / "sqrt.json"
         path.write_text(json.dumps({"variables": [
@@ -732,6 +764,169 @@ class TestKernelCli:
                             "--m", "1000", "--delta", "0.05", "--out", str(out))
         assert code == 0
         assert json.loads(out.read_text()) == payload
+
+
+def _fuzz_texts() -> dict[str, str]:
+    """Degenerate and extreme CSV files over the columns T (binary), X, Y, Z."""
+    import numpy as np
+
+    rng = np.random.default_rng(10)
+    n = 120  # ANM needs 100 rows
+    t = (np.arange(n) % 2).astype(float)
+    x, z = rng.normal(size=n), rng.normal(size=n)
+    base = {"T": t, "X": x, "Y": t + x + rng.normal(size=n), "Z": z}
+
+    def csv(cols, end="\n"):
+        rows = zip(*([repr(float(v)) for v in col] for col in cols.values()))
+        return end.join([",".join(cols), *(",".join(r) for r in rows)]) + end
+
+    return {
+        "empty": "",
+        "header-only": "T,X,Y,Z\n",
+        "three-rows": csv({k: v[:3] for k, v in base.items()}),
+        "crlf": csv(base, "\r\n"),
+        "blank-line": csv(base).replace("\n", "\n\n", 7),
+        "constant": csv({**base, "X": np.full(n, 2.5)}),
+        "duplicate": csv({**base, "Z": x}),
+        "one-ulp": csv({**base, "X": np.where(t == 1, 1.0, 1.0000000000000002)}),
+        "huge": csv({**base, "Y": np.where(t == 1, 1e308, 0.0)}),
+        "plus-minus-huge": csv({**base, "X": np.where(x > 0, 1e308, -1e308)}),
+        "spread-1e200": csv({k: v if k == "T" else v * 1e200 for k, v in base.items()}),
+        "all-treated": csv({**base, "T": np.ones(n)}),
+    }
+
+
+_FUZZ_TEXTS = _fuzz_texts()
+
+
+def _subparsers():
+    import argparse
+    from causelab.cli import build_parser
+
+    return next(a for a in build_parser()._actions
+                if isinstance(a, argparse._SubParsersAction)).choices
+
+
+def _method_choices(command: str) -> list[str]:
+    return next(a.choices for a in _subparsers()[command]._actions if a.dest == "method")
+
+
+def _fuzz_argvs(path: str) -> list[tuple[list[str], bool]]:
+    """(argv, whether a one-column kernel reads X or Y) for each method that
+    reads a CSV."""
+    from causelab.cli import DISCOVERERS, ESTIMATORS
+
+    est = ["--y", "Y", "--t", "T", "--z", "Z", "--mediator", "X", "--instrument", "X",
+           "--score", "X", "--cutoff", "0"]
+    seed, perms = ["--seed", "0"], ["--perms", "19"]
+    return [
+        *((["estimate", "--data", path, "--method", m, *est], False) for m in ESTIMATORS),
+        (["estimate", "--data", path, "--method", "regression", "--regressor",
+          "kernel-ridge", *est], False),
+        *((["discover", "--data", path, "--method", m, "--x", "X", "--y", "Y", *perms, *seed],
+           m == "anm") for m in DISCOVERERS),
+        (["discover", "--data", path, "--method", "pc", "--ci", "kernel-residual", *perms,
+          *seed], True),
+        (["discover", "--data", path, "--method", "score", "--score-model",
+          "linear-gaussian", *seed], False),
+        *((["test-ci", "--data", path, "--a", "X", "--b", "Y", "--given", "Z", "--method", m,
+            *perms], m == "kernel-residual") for m in _method_choices("test-ci")),
+        (["hsic", "--data", path, "--x", "X", "--y", "Y", *perms, *seed], True),
+        # MMD's bandwidth is a median over 4-column rows; where it is finite, a
+        # pair an infinite distance apart has kernel value 0, not NaN
+        (["mmd", "--data1", path, "--data2", path, *perms, *seed], False),
+    ]
+
+
+# Y := X * X + noise, so an extreme X overflows Y.
+_SQUARE_SCM = {"variables": [
+    {"name": "X", "parents": [], "noise": {"kind": "gaussian", "mean": 0, "var": 1},
+     "expr": ["noise"]},
+    {"name": "Y", "parents": ["X"], "noise": {"kind": "gaussian", "mean": 0, "var": 1},
+     "expr": ["+", ["*", ["var", "X"], ["var", "X"]], ["noise"]]},
+]}
+_GRAPH = {"nodes": ["A", "B", "M", "T", "Y"],
+          "edges": [["A", "T"], ["A", "M"], ["B", "M"], ["B", "Y"], ["T", "Y"]]}
+_OTHER_ARGVS = [
+    ["dsep", "{graph}", "T", "B", "--given", "M"],
+    ["dsep", "{graph}", "T", "T"],
+    ["adjust", "--graph", "{graph}", "--treatment", "T", "--outcome", "Y"],
+    ["count-dags", "--n", "0"],
+    ["count-dags", "--n", "165"],
+    ["simulate", "--scm", "{scm}", "--n", "0", "--seed", "0", "--out", "{tmp}/s.csv"],
+    ["intervene", "--scm", "{scm}", "--set", "X=1e308", "--n", "10", "--seed", "0",
+     "--target", "Y"],
+    ["intervene", "--scm", "{scm}", "--set", "X=nan", "--n", "3", "--seed", "0",
+     "--out", "{tmp}/i.csv"],
+    ["counterfactual", "--scm", "{scm}", "--evidence", "X=1e308", "--evidence", "Y=0",
+     "--set", "X=1e200", "--target", "Y"],
+    ["generate", "--scenario", "anm-nonlinear", "--n", "1", "--seed", "0",
+     "--out", "{tmp}/g.csv"],
+    ["vc-bound", "--r-emp", "0", "--h", "1000000000", "--m", "1", "--delta", "1e-300"],
+    ["vc-bound", "--r-emp", "nan", "--h", "3", "--m", "1000", "--delta", "0.05"],
+]
+
+
+class TestFuzz:
+    """Every subcommand and every estimate, discover and test-ci method, on
+    degenerate and extreme input, exits 0, or 2 or 3 with one stderr line.
+    None ends in a traceback or a warning, and no one-column kernel exits 0
+    on a column whose spread overflows."""
+
+    OVERFLOW = {"huge", "plus-minus-huge", "spread-1e200"}
+
+    @staticmethod
+    def fault(capsys, argv, kernel=False) -> str | None:
+        """What is wrong with running argv, or None."""
+        import warnings
+
+        with warnings.catch_warnings(record=True) as caught:
+            warnings.simplefilter("always")
+            try:
+                code = main(argv)
+            except Exception as exc:  # a traceback at the command line
+                return f"raised {type(exc).__name__}: {exc}"
+        captured = capsys.readouterr()
+        if caught:
+            return f"warned {caught[0].message}"
+        if code == 0:
+            json.loads(captured.out)
+            return "exit 0 on an overflowing spread" if kernel else None
+        if code not in (2, 3) or captured.out or captured.err.count("\n") != 1:
+            return f"exit {code}, stderr {captured.err!r}"
+        return None
+
+    def test_every_subcommand_and_method_is_fuzzed(self):
+        from causelab.cli import DISCOVERERS, ESTIMATORS
+
+        argvs = [argv for argv, _ in _fuzz_argvs("f.csv")] + _OTHER_ARGVS
+        assert {argv[0] for argv in argvs} == set(_subparsers())
+        for command, table in (("estimate", ESTIMATORS), ("discover", DISCOVERERS)):
+            methods = {argv[argv.index("--method") + 1] for argv in argvs if argv[0] == command}
+            assert methods == set(table) == set(_method_choices(command))
+
+    @pytest.mark.parametrize("name", list(_FUZZ_TEXTS))
+    def test_csv_inputs(self, capsys, tmp_path, name):
+        path = tmp_path / f"{name}.csv"
+        path.write_bytes(_FUZZ_TEXTS[name].encode())
+        faults = []
+        for argv, kernel in _fuzz_argvs(str(path)):
+            fault = self.fault(capsys, argv, kernel and name in self.OVERFLOW)
+            if fault:
+                faults.append(f"{' '.join(argv).replace(str(path), name)}: {fault}")
+        assert not faults, "\n".join(faults)
+
+    def test_graph_scm_and_flag_inputs(self, capsys, tmp_path):
+        paths = {"graph": tmp_path / "g.json", "scm": tmp_path / "scm.json", "tmp": tmp_path}
+        paths["graph"].write_text(json.dumps(_GRAPH))
+        paths["scm"].write_text(json.dumps(_SQUARE_SCM))
+        faults = []
+        for argv in _OTHER_ARGVS:
+            argv = [a.format(**paths) for a in argv]
+            fault = self.fault(capsys, argv)
+            if fault:
+                faults.append(f"{' '.join(argv)}: {fault}")
+        assert not faults, "\n".join(faults)
 
 
 class TestImports:

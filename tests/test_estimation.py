@@ -129,6 +129,18 @@ class TestMatching:
         est2 = ate_nn_matching(doubled, "Y", "T", ["Z"])
         assert est1.ate == est2.ate
 
+    def test_covariate_whose_standard_deviation_overflows_rejected(self):
+        """A scale of inf would standardize every covariate to 0, and match
+        each unit to the first of the other group."""
+        data, _ = confounded(200, 9)
+        huge = Dataset.from_columns(
+            {"Z": 1e200 * data.column("Z"), "T": data.column("T"), "Y": data.column("Y")}
+        )
+        with np.errstate(over="ignore"), pytest.raises(
+            PreconditionError, match="standard deviation overflows"
+        ):
+            ate_nn_matching(huge, "Y", "T", ["Z"])
+
 
 class TestStratified:
     def test_single_stratum_equals_rct(self):
@@ -299,6 +311,25 @@ class TestIv2sls:
         y = h + 2 * t + rng.normal(size=n)
         data = Dataset.from_columns({"I": i, "T": t, "Y": y})
         with pytest.raises(WeakInstrumentError):
+            ate_iv_2sls(data, "Y", "T", "I")
+
+    @pytest.mark.parametrize("ulps", [1, 19, 20, 100])
+    def test_instrument_a_few_ulps_apart(self, ulps):
+        """XᵀX squares the design's condition number: rounding can leave it
+        singular or indefinite at full rank. Either is a singular fit, never
+        a LinAlgError or the square root of a negative variance."""
+        from causelab.estimation import _ols
+
+        x = np.tile([1.0, 1.0 + ulps * np.spacing(1.0)], 2)
+        try:
+            _, cov = _ols(x, np.arange(4.0))
+        except PreconditionError as exc:
+            assert str(exc) == "constant regressor: the least-squares fit is singular"
+        else:
+            assert (cov.diagonal() > 0).all()
+        iv = np.tile([1.0, 1.0 + ulps * np.spacing(1.0)], 50)
+        data = Dataset.from_columns({"I": iv, "T": iv, "Y": np.arange(100.0)})
+        with pytest.raises(PreconditionError):
             ate_iv_2sls(data, "Y", "T", "I")
 
 

@@ -74,6 +74,23 @@ class TestMedianHeuristic:
     def test_degenerate_falls_back(self):
         assert median_heuristic(np.zeros((5, 1))) == 1.0
 
+    @pytest.mark.parametrize("columns", [1, 3])
+    @pytest.mark.parametrize("scale", [1e155, 1e200, 1e308])
+    def test_spread_whose_square_overflows_rejected(self, rng, columns, scale):
+        """An infinite bandwidth, or one whose square is, would turn every
+        kernel value and HSIC statistic to NaN."""
+        xs = scale * rng.uniform(-1, 1, size=(40, columns))
+        with np.errstate(over="ignore"), pytest.raises(
+            PreconditionError, match="has no finite square"
+        ):
+            median_heuristic(xs)
+        assert median_heuristic(xs / scale * 1e150) < 1e151
+
+    @pytest.mark.parametrize("bandwidth", [math.inf, 1e160, math.nan, 0.0])
+    def test_gaussian_kernel_rejects_bandwidth_without_finite_square(self, bandwidth):
+        with pytest.raises(UsageError, match="bandwidth must be > 0 with a finite square"):
+            GaussianKernel(bandwidth)
+
 
 class TestMeanMap:
     def test_reproducing_single_anchor(self, rng):
