@@ -45,7 +45,8 @@ MODEL = {"variables": [
 ]}
 EVIDENCE = ["--evidence", "Z=1", "--evidence", "X=1", "--evidence", "W=0.5",
             "--evidence", "S=2", "--evidence", "Y=0.25"]
-# M-bias: conditioning on the collider M connects T and Y's other cause B.
+# M-bias: conditioning on the collider M connects T and Y's other cause B, and
+# so does conditioning on the collider Y; {T, B} separates A from Y.
 GRAPH = {"nodes": ["A", "B", "M", "T", "Y"],
          "edges": [["A", "T"], ["A", "M"], ["B", "M"], ["B", "Y"], ["T", "Y"]]}
 PERMS = ["--perms", "19"]
@@ -93,6 +94,8 @@ def commands(n: int, seeds: list[int]) -> list[list[str]]:
         ["counterfactual", "--scm", "model.json", *EVIDENCE, "--set", "X=0", "--target", "Y"],
         ["dsep", "graph.json", "T", "B"],
         ["dsep", "graph.json", "T", "B", "--given", "M"],
+        ["dsep", "graph.json", "A", "Y", "--given", "T", "B"],
+        ["dsep", "graph.json", "T", "B", "--given", "Y"],
         ["adjust", "--graph", "graph.json", "--treatment", "T", "--outcome", "Y"],
         ["count-dags", "--n", "6"],
         ["vc-bound", "--r-emp", "0.05", "--h", "10", "--m", "5000", "--delta", "0.01"],

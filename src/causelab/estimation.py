@@ -392,7 +392,7 @@ def ate_front_door(data: Dataset, y: str, t: str, mdtr: str) -> EffectEstimate:
             sel = sel_t & (mv == b)
             if not sel.any():
                 raise OverlapError(
-                    f"empty cell ({t}={a!r}, {mdtr}={b!r})",
+                    f"empty cell ({t}={float(a)!r}, {mdtr}={float(b)!r})",
                     stratum={t: float(a), mdtr: float(b)},
                 )
             cell_mean[j, i] = yv[sel].mean()

@@ -206,21 +206,16 @@ def topological_order(g: Dag) -> tuple[int, ...]:
 def _dsep_masks(g: Dag, amask: int, bmask: int, zmask: int) -> bool:
     """Reachability test: True iff no active path joins amask and bmask.
 
-    Standard two-direction traversal: a state is (node, direction of
-    entry); entry from a child may continue anywhere unless the node is
-    conditioned on, entry from a parent may continue to children unless
-    conditioned on, and may bounce back up exactly when the node is an
-    ancestor of (or in) the conditioning set.
+    Bayes ball (Shachter 1998) over (node, direction of entry) states. Off z,
+    entry from a child continues to parents and children, and entry from a
+    parent to children; at a node of z, entry from a parent bounces back up
+    to its parents, which opens a collider whose descendant is in z. The
+    masks must be pairwise disjoint, so reaching b ends the search: b is
+    tested when nodes are pushed, not when they are popped.
     """
-    anc_z = 0
-    for i in _bits(zmask):
-        anc_z |= g._ancestor_masks[i]
-    visited_up = 0
-    visited_down = 0
-    pend_up = amask
-    pend_down = 0
-    parent_masks = g._parent_masks
-    child_masks = g._child_masks
+    visited_up = visited_down = 0
+    pend_up, pend_down = amask, 0
+    parent_masks, child_masks = g._parent_masks, g._child_masks
     while pend_up or pend_down:
         if pend_up:
             low = pend_up & -pend_up
@@ -230,10 +225,11 @@ def _dsep_masks(g: Dag, amask: int, bmask: int, zmask: int) -> bool:
             visited_up |= low
             i = low.bit_length() - 1
             if not low & zmask:
-                if low & bmask:
+                up, down = parent_masks[i] & ~visited_up, child_masks[i] & ~visited_down
+                if (up | down) & bmask:
                     return False
-                pend_up |= parent_masks[i] & ~visited_up
-                pend_down |= child_masks[i] & ~visited_down
+                pend_up |= up
+                pend_down |= down
         else:
             low = pend_down & -pend_down
             pend_down ^= low
@@ -242,11 +238,15 @@ def _dsep_masks(g: Dag, amask: int, bmask: int, zmask: int) -> bool:
             visited_down |= low
             i = low.bit_length() - 1
             if not low & zmask:
-                if low & bmask:
+                down = child_masks[i] & ~visited_down
+                if down & bmask:
                     return False
-                pend_down |= child_masks[i] & ~visited_down
-            if low & anc_z:
-                pend_up |= parent_masks[i] & ~visited_up
+                pend_down |= down
+            else:
+                up = parent_masks[i] & ~visited_up
+                if up & bmask:
+                    return False
+                pend_up |= up
     return True
 
 

@@ -66,6 +66,37 @@ def dsep_by_paths(g: Dag, a, b, z) -> bool:
     return True
 
 
+def dsep_by_moral_ancestral_graph(g: Dag, a, b, z) -> bool:
+    """d-separation by moralisation (Lauritzen et al. 1990): a and b are
+    d-separated by z iff z separates them in the moral graph of the
+    ancestral set of a, b and z."""
+    aidx = {g.index(x) for x in a}
+    bidx = {g.index(x) for x in b}
+    zset = {g.index(x) for x in z}
+    parents = {v: {u for u, w in g.edges if w == v} for v in range(g.n)}
+    ancestral, stack = set(), list(aidx | bidx | zset)
+    while stack:
+        v = stack.pop()
+        if v not in ancestral:
+            ancestral.add(v)
+            stack.extend(parents[v])
+    neighbours = {v: set() for v in ancestral}
+    for v in ancestral:
+        for u in parents[v]:
+            neighbours[u].add(v)
+            neighbours[v].add(u)
+        for u, w in itertools.combinations(parents[v], 2):
+            neighbours[u].add(w)
+            neighbours[w].add(u)
+    reached, stack = set(), list(aidx)
+    while stack:
+        v = stack.pop()
+        if v not in reached and v not in zset:
+            reached.add(v)
+            stack.extend(neighbours[v])
+    return not reached & bidx
+
+
 def directed_paths(g: Dag, start: int, goal: int):
     """All directed paths start -> ... -> goal."""
     out = []
@@ -403,14 +434,17 @@ def meek_closure_by_tuple_scans(n, directed, undirected):
     return directed, undirected, skipped
 
 
-def sgs_skeleton_by_pairs(data, cfg):
+def sgs_skeleton_by_pairs(data, cfg, independent=None):
     """Exhaustive-subset skeleton, one pair at a time: every subset of the
-    other nodes, by size then lexicographically, until one separates."""
+    other nodes, by size then lexicographically, until one separates.
+    ``independent(i, j, zs)`` decides each test; by default, the library's
+    own decision function for ``cfg``."""
     from causelab.discovery import SkeletonResult, _decision_fn
 
     nodes = cfg.oracle_graph.nodes if data is None else data.columns
     n = len(nodes)
-    independent = _decision_fn(data, cfg, nodes)
+    if independent is None:
+        independent = _decision_fn(data, cfg, nodes)
     edges = set()
     sepsets = {}
     tests = 0
@@ -437,15 +471,16 @@ def sgs_skeleton_by_pairs(data, cfg):
     )
 
 
-def pc_skeleton_by_seen_tuples(data, cfg):
+def pc_skeleton_by_seen_tuples(data, cfg, independent=None):
     """Neighbor-restricted skeleton over sorted per-sweep adjacency
     snapshots, skipping repeated conditioning sets through a set of seen
-    tuples."""
+    tuples. ``independent`` is as in ``sgs_skeleton_by_pairs``."""
     from causelab.discovery import SkeletonResult, _decision_fn
 
     nodes = cfg.oracle_graph.nodes if data is None else data.columns
     n = len(nodes)
-    independent = _decision_fn(data, cfg, nodes)
+    if independent is None:
+        independent = _decision_fn(data, cfg, nodes)
     adj = {i: set(range(n)) - {i} for i in range(n)}
     sepsets = {}
     tests = 0

@@ -646,6 +646,17 @@ class TestNonFinite:
         assert res.stderr.startswith("precondition failed: non-finite result")
         assert res.stderr.count("\n") == 1
 
+    def test_front_door_empty_cell_is_one_line_without_numpy_reprs(self, tmp_path):
+        path = tmp_path / "fd.csv"
+        path.write_text("T,M,Y\n0,0,0\n0,0,1\n1,2,0\n1,2,1\n")
+        res = subprocess.run(
+            [sys.executable, "-m", "causelab.cli", "estimate", "--data", str(path),
+             "--method", "front-door", "--y", "Y", "--t", "T", "--mediator", "M"],
+            capture_output=True, text=True, env=_subprocess_env(), timeout=120,
+        )
+        assert res.returncode == 3 and res.stdout == ""
+        assert res.stderr == "precondition failed: empty cell (T=0.0, M=2.0)\n"
+
     def test_non_finite_sample_is_one_line_without_warnings(self, tmp_path):
         path = tmp_path / "sqrt.json"
         path.write_text(json.dumps({"variables": [

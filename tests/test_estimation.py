@@ -294,6 +294,14 @@ class TestFrontDoorEstimator:
         with pytest.raises(OverlapError):
             ate_front_door(data, "Y", "T", "M")
 
+    def test_empty_cell_message_has_plain_floats(self):
+        data = Dataset.from_columns(
+            {"T": [0, 0, 1, 1], "M": [0, 0, 2, 2], "Y": [0.0, 1.0, 0.0, 1.0]}
+        )
+        with pytest.raises(OverlapError) as info:
+            ate_front_door(data, "Y", "T", "M")
+        assert str(info.value) == "empty cell (T=0.0, M=2.0)"
+
 
 class TestIv2sls:
     def test_example_parameters_recovered(self):

@@ -83,6 +83,7 @@ from oracles import (
     csv_text_by_rows,
     dataset_from_csv_by_cells,
     directed_paths,
+    dsep_by_moral_ancestral_graph,
     dsep_by_paths,
     hsic_dense,
     hsic_permuted_dense,
@@ -147,15 +148,44 @@ def test_sq_distances_match_per_pair_loop_bitwise(pts):
     assert fast.tobytes() == slow.tobytes()
 
 
-@settings(max_examples=40, deadline=None)
-@given(dags(max_nodes=4), st.integers(0, 2**16))
-def test_dsep_agrees_with_path_oracle(g, salt):
-    rng = np.random.default_rng(salt)
-    names = list(g.nodes)
-    rng.shuffle(names)
-    a, b = names[0], names[1]
-    z = names[2 : 2 + int(rng.integers(0, len(names) - 1))]
-    assert d_separated(g, [a], [b], z) == dsep_by_paths(g, [a], [b], z)
+@st.composite
+def dsep_queries(draw, max_nodes):
+    """A DAG and disjoint node sets a, b (one or several nodes each) and z.
+    Half the time a and b hold two parents of one collider and z holds one
+    of its descendants, so that the path through the collider is open."""
+    g = draw(dags(max_nodes=max_nodes))
+    rng = np.random.default_rng(draw(st.integers(0, 2**32 - 1)))
+    order = [int(k) for k in rng.permutation(g.n)]
+    colliders = [v for v in order if len(g.parents(v)) >= 2]
+    if colliders and draw(st.booleans()):
+        c = colliders[0]
+        head = [int(k) for k in rng.choice(g.parents(c), 2, replace=False)]
+        head.append(int(rng.choice([v for v in order if g.descendants_mask(c) >> v & 1])))
+    else:
+        head = order[:2]
+    rest = [k for k in order if k not in head]
+    ka = draw(st.integers(0, len(rest) // 3))
+    kb = draw(st.integers(0, (len(rest) - ka) // 2))
+    a, b = [head[0], *rest[:ka]], [head[1], *rest[ka : ka + kb]]
+    rate = draw(st.floats(0.0, 0.6))
+    z = head[2:] + [k for k in rest[ka + kb :] if rng.random() < rate]
+    return g, *([g.nodes[k] for k in s] for s in (a, b, z))
+
+
+@settings(max_examples=150, deadline=None)
+@given(dsep_queries(max_nodes=6))
+def test_dsep_agrees_with_path_oracle(query):
+    g, a, b, z = query
+    by_paths = dsep_by_paths(g, a, b, z)
+    assert d_separated(g, a, b, z) == by_paths
+    assert dsep_by_moral_ancestral_graph(g, a, b, z) == by_paths
+
+
+@settings(max_examples=400, deadline=None)
+@given(dsep_queries(max_nodes=12))
+def test_dsep_agrees_with_moralisation_oracle(query):
+    g, a, b, z = query
+    assert d_separated(g, a, b, z) == dsep_by_moral_ancestral_graph(g, a, b, z)
 
 
 @settings(max_examples=30, deadline=None)
@@ -740,6 +770,21 @@ def test_oracle_skeletons_match_reference_loops(g):
     cfg = DiscoveryConfig(ci_method="oracle", oracle_graph=g)
     assert pc_skeleton(None, cfg) == pc_skeleton_by_seen_tuples(None, cfg)
     assert sgs_skeleton(None, cfg) == sgs_skeleton_by_pairs(None, cfg)
+
+
+@settings(max_examples=150, deadline=None)
+@given(dags(max_nodes=8))
+def test_oracle_skeletons_match_moralisation_driven_loops(g):
+    """The reference loops asked the moralisation dual, not the library's
+    oracle, so a fault in the library's d-separation cannot reach both sides."""
+    cfg = DiscoveryConfig(ci_method="oracle", oracle_graph=g)
+    names = g.nodes
+
+    def independent(i, j, zs):
+        return dsep_by_moral_ancestral_graph(g, [names[i]], [names[j]], [names[k] for k in zs])
+
+    assert pc_skeleton(None, cfg) == pc_skeleton_by_seen_tuples(None, cfg, independent)
+    assert sgs_skeleton(None, cfg) == sgs_skeleton_by_pairs(None, cfg, independent)
 
 
 @settings(max_examples=150, deadline=None)
