@@ -5,8 +5,9 @@ Runs a fixed list of `causelab` commands, one or more of each subcommand
 and of each `estimate` and `discover` method, in a temporary directory
 and prints `sha256  command [output]` for each command's stdout and each
 file it writes, plus the CSV that `sample_cgm` writes for the frontdoor
-scenario's discrete model. Two checkouts produce byte-identical seeded
-outputs when their listings are identical:
+scenario's discrete model and, as `repr` floats, that model's p(Y | do(T))
+for T = 0 and 1 and its (T, M, Y) marginal. Two checkouts produce
+byte-identical seeded outputs when their listings are identical:
 
     PYTHONPATH=src python scripts/seeded_outputs.py > new.txt
     PYTHONPATH=../old/src python scripts/seeded_outputs.py > old.txt
@@ -115,7 +116,7 @@ def main():
     args = parser.parse_args()
 
     import causelab
-    from causelab.cgm import cgm_from_scm, sample_cgm
+    from causelab.cgm import cgm_from_scm, joint, sample_cgm, truncated_factorization
     from causelab.scenarios import get_scenario
 
     # the commands run in the temporary directory on the causelab imported here
@@ -139,6 +140,12 @@ def main():
             sample_cgm(cgm, args.n, seed).to_csv(path)
             print(f"{digest(path.read_bytes())}  sample_cgm(frontdoor, n={args.n}, "
                   f"seed={seed}) [{path.name}]")
+        for t in (0, 1):
+            probs = truncated_factorization(cgm, {"T": t}).marginal(["Y"]).values
+            print(f"truncated_factorization(frontdoor, {{'T': {t}}}).marginal(['Y']) "
+                  f"{probs.tolist()!r}")
+        probs = joint(cgm).marginal(["T", "M", "Y"]).values
+        print(f"joint(frontdoor).marginal(['T', 'M', 'Y']) {probs.tolist()!r}")
 
 
 if __name__ == "__main__":

@@ -3,10 +3,11 @@
 Every query is one exact factor contraction (variable elimination by
 np.einsum on a fixed pairwise path) over the conditionals of the queried
 variables' ancestors, with point masses at intervened variables; the
-state space of that ancestral set is capped. This module doubles as the
-oracle layer for the rest of the repository: interventional truths,
-adjustment identities and conditional mutual information are all
-computed to float precision, not approximated.
+state space of that ancestral set is capped. A `Factor` contracts on
+demand, so only a full-scope factor's `values` builds the full joint.
+This module doubles as the oracle layer for the rest of the repository:
+interventional truths, adjustment identities and conditional mutual
+information are all computed to float precision, not approximated.
 """
 
 from __future__ import annotations
@@ -15,6 +16,7 @@ import itertools
 import json
 import math
 from dataclasses import dataclass, field
+from functools import cached_property
 from typing import Iterable, Mapping, Sequence
 
 import numpy as np
@@ -127,35 +129,41 @@ class DiscreteCgm:
 
 @dataclass(frozen=True, eq=False)
 class Factor:
-    """Non-negative table over the product domain of its scope."""
+    """p(scope | do(do)) of a model, contracted on demand: ``values`` is one
+    contraction over the ancestors of scope and do, run on first use and
+    kept; ``marginal`` and ``total`` contract only what they need.
+    """
 
+    model: DiscreteCgm = field(repr=False)
+    do: Mapping
+    limit: int
     scope: tuple[str, ...]
-    domains: tuple[tuple, ...]
-    values: np.ndarray = field(repr=False)
 
-    def __post_init__(self):
-        arr = np.asarray(self.values, dtype=float)
-        if arr.shape != tuple(len(d) for d in self.domains):
+    @property
+    def domains(self) -> tuple[tuple, ...]:
+        return tuple(self.model.domains[v] for v in self.scope)
+
+    @cached_property
+    def values(self) -> np.ndarray:
+        arr = np.asarray(_contract(self.model, self.scope, self.do, self.limit))
+        if arr.shape != tuple(map(len, self.domains)):
             raise UsageError("factor shape does not match its domains")
         if (arr < -1e-15).any():
             raise UsageError("factor has negative entries")
-        object.__setattr__(self, "values", arr)
         arr.setflags(write=False)
+        return arr
 
     def marginal(self, keep: Sequence[str]) -> "Factor":
-        keep = list(keep)
-        drop_axes = tuple(i for i, v in enumerate(self.scope) if v not in keep)
-        summed = self.values.sum(axis=drop_axes) if drop_axes else self.values
-        remaining = [v for v in self.scope if v in keep]
-        order = [remaining.index(v) for v in keep]
-        return Factor(
-            scope=tuple(keep),
-            domains=tuple(self.domains[self.scope.index(v)] for v in keep),
-            values=np.ascontiguousarray(np.transpose(summed, order)),
-        )
+        keep = tuple(keep)
+        for k, v in enumerate(keep):
+            if v not in self.scope:
+                raise UsageError(f"{v!r} is not in the factor's scope {self.scope}")
+            if v in keep[:k]:
+                raise UsageError(f"{v!r} is repeated in the marginal's scope")
+        return Factor(self.model, self.do, self.limit, keep)
 
     def total(self) -> float:
-        return float(self.values.sum())
+        return float(self.marginal(()).values)
 
 
 # np.einsum names each axis by a letter, so one contraction spans at most
@@ -163,17 +171,9 @@ class Factor:
 _MAX_SUBSCRIPTS = 52
 
 
-def _contract(
-    m: DiscreteCgm, keep: Sequence[str], do: Mapping, limit: int
-) -> np.ndarray:
-    """Sum over all but ``keep`` of the product of the conditionals, with a
-    point mass in place of the conditional of every ``do`` variable; the
-    result's axes follow ``keep``.
-
-    Only the ancestors of keep and do enter, since every other conditional
-    sums to 1. Each intermediate of the fixed pairwise path spans a subset
-    of them, so ``limit`` bounds their joint state space up front.
-    """
+def _ancestral_set(m: DiscreteCgm, keep: Sequence[str], do: Mapping, limit: int):
+    """The ancestors of keep and do in node order, and the value index of
+    each do variable, after every check their contraction makes up front."""
     g = m.dag
     points = {v: m.value_index(v, value) for v, value in do.items()}
     mask = 0
@@ -187,6 +187,23 @@ def _contract(
         raise UsageError(
             f"{len(names)} ancestral variables exceed {_MAX_SUBSCRIPTS} einsum subscripts"
         )
+    return names, points
+
+
+def _contract(
+    m: DiscreteCgm, keep: Sequence[str], do: Mapping, limit: int
+) -> np.ndarray:
+    """Sum over all but ``keep`` of the product of the conditionals, with a
+    point mass in place of the conditional of every ``do`` variable; the
+    result's axes follow ``keep``.
+
+    Only the ancestors of keep and do enter, since every other conditional
+    sums to 1. Each intermediate of the fixed pairwise path spans a subset
+    of them, so ``limit`` bounds their joint state space up front.
+    """
+    names, points = _ancestral_set(m, keep, do, limit)
+    if not names:
+        return np.ones(())
     label = {v: k for k, v in enumerate(names)}
     operands = []
     for v in names:
@@ -197,7 +214,8 @@ def _contract(
         else:
             cpt = m.cpts[v]
             operands += [cpt.values, [label[u] for u in (*cpt.parents, v)]]
-    path = ["einsum_path"] + [(0, 1)] * (len(names) - 1)
+    # numpy returns a lone operand unsummed under an empty path
+    path = ["einsum_path"] + ([(0, 1)] * (len(names) - 1) or [(0,)])
     return np.einsum(*operands, [label[v] for v in keep], optimize=path)
 
 
@@ -209,14 +227,11 @@ def joint(m: DiscreteCgm, limit: int = DEFAULT_STATE_LIMIT) -> Factor:
 def truncated_factorization(
     m: DiscreteCgm, i: Intervention | Mapping, limit: int = DEFAULT_STATE_LIMIT
 ) -> Factor:
-    """Interventional joint: deltas at targets times untouched conditionals."""
-    do = i.assignments if isinstance(i, Intervention) else i
-    nodes = m.dag.nodes
-    return Factor(
-        scope=nodes,
-        domains=tuple(m.domains[v] for v in nodes),
-        values=_contract(m, nodes, do, limit),
-    )
+    """Interventional joint: deltas at targets times untouched conditionals,
+    checked here over all variables and contracted on demand."""
+    do = dict(i.assignments if isinstance(i, Intervention) else i)
+    _ancestral_set(m, m.dag.nodes, do, limit)
+    return Factor(m, do, limit, m.dag.nodes)
 
 
 def condition(

@@ -181,14 +181,17 @@ def _csv_rows(lines: Iterable[str], first_line: int, path) -> Iterator[list[str]
 def _parse_plain(lines: list[str], width: int) -> np.ndarray | None:
     """Floats of lines that csv.reader would split at every comma, else None.
 
-    Without a carriage return, lines end only in a newline, and csv.reader
-    splits a line with no quote at every comma. float() rejects every cell
-    that holds a quote, so a block whose lines all have width - 1 commas
-    and whose cells all parse is exactly width cells a row.
+    readlines ends a line at CRLF, CR or LF, and csv.reader drops the
+    ending. The CR of a CRLF trails the line's last cell, and float()
+    ignores it as it ignores other surrounding whitespace; a lone CR
+    falls back. csv.reader splits a line with no quote at every comma.
+    float() rejects every cell that holds a quote, so a block whose lines
+    all have width - 1 commas and whose cells all parse is exactly width
+    cells a row.
     """
     text = "".join(lines)
     commas = set(map(str.count, lines, itertools.repeat(",")))
-    if "\r" in text or commas != {width - 1}:
+    if commas != {width - 1} or "\r" in text and text.count("\r") != text.count("\r\n"):
         return None
     cells = text.replace("\n", ",").split(",")
     if text.endswith("\n"):

@@ -423,22 +423,20 @@ def ate_front_door(data: Dataset, y: str, t: str, mdtr: str) -> EffectEstimate:
 def _ols(x: np.ndarray, yv: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
     """Coefficients (intercept, slope) of y ~ 1 + x and their covariance.
 
-    The fit is singular when rounding loses x's spread: in the design's
-    rank (lstsq's cutoff is matrix_rank's), or in XᵀX, which squares the
-    design's condition number and can then be singular or indefinite.
+    Both come from one SVD of the design, U S Vᵀ: the coefficients are
+    V S⁻¹ Uᵀ y and the covariance σ² V S⁻² Vᵀ. Forming XᵀX instead would
+    square the design's condition number. The fit is singular when
+    rounding loses x's spread, which the rank (matrix_rank's cutoff) shows.
     """
     n = len(x)
     design = np.column_stack([np.ones(n), x])
-    beta, _, rank, _ = np.linalg.lstsq(design, yv, rcond=None)
-    try:
-        inverse = np.linalg.inv(design.T @ design)
-    except np.linalg.LinAlgError:
-        inverse = np.zeros((2, 2))
-    if rank < 2 or (inverse.diagonal() <= 0).any():
+    u, s, vt = np.linalg.svd(design, full_matrices=False)
+    if len(s) < 2 or s[1] <= s[0] * max(n, 2) * np.finfo(float).eps:
         raise PreconditionError("constant regressor: the least-squares fit is singular")
+    beta = vt.T @ ((u.T @ yv) / s)
     resid = yv - design @ beta
     sigma2 = float(resid @ resid) / max(n - 2, 1)
-    return beta, sigma2 * inverse
+    return beta, sigma2 * (vt.T / s**2) @ vt
 
 
 def ate_iv_2sls(

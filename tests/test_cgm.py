@@ -115,6 +115,27 @@ class TestJoint:
         with pytest.raises(UsageError):
             joint(m, limit=8)
 
+    def test_marginal_of_an_unknown_name_is_a_usage_error(self, rng):
+        f = joint(random_cgm(TRIANGLE, rng))
+        with pytest.raises(UsageError, match="'Q' is not in the factor's scope"):
+            f.marginal(["X1", "Q"])
+
+    def test_marginal_with_a_repeated_name_is_a_usage_error(self, rng):
+        f = joint(random_cgm(TRIANGLE, rng))
+        with pytest.raises(UsageError, match="'X2' is repeated"):
+            f.marginal(["X2", "X1", "X2"])
+
+    def test_marginal_over_no_variables_is_the_total_mass(self, rng):
+        f = truncated_factorization(random_cgm(TRIANGLE, rng), {"X2": 0})
+        empty = f.marginal([])
+        assert empty.scope == () and empty.values.shape == ()
+        assert float(empty.values) == f.total()
+        assert abs(f.total() - 1.0) < 1e-12
+        # no variable at all, and one point mass alone, contract to 1
+        assert joint(single_binary()).marginal([]).values.shape == ()
+        for f in (joint(single_binary()), truncated_factorization(single_binary(), {"X": 1})):
+            assert f.total() == 1.0
+
 
 class TestCondition:
     def test_conditional_weighted_sum_identity(self, rng):
@@ -511,6 +532,17 @@ class TestContractionAgainstEnumeration:
 
     @examples
     @seeds
+    def test_marginal_of_truncated_factorization(self, seed):
+        m, do, rng = _random_query_setup(seed)
+        keep = _pick(rng, m.dag.nodes, int(rng.integers(0, m.dag.n + 1)))
+        f = truncated_factorization(m, do)
+        got = f.marginal(keep).values
+        assert np.abs(got - _oracle_marginal(m, keep, do)).max() < 1e-12
+        y = _pick(rng, m.dag.nodes, 1)[0]
+        assert np.array_equal(f.marginal([y]).values, interventional_marginal(m, y, do))
+
+    @examples
+    @seeds
     def test_interventional_marginal(self, seed):
         m, do, rng = _random_query_setup(seed)
         target = _pick(rng, m.dag.nodes, 1)[0]
@@ -583,6 +615,30 @@ class TestAncestralLimit:
         finally:
             tracemalloc.stop()
         assert peak < 1 << 20
+
+    def test_truncated_marginal_builds_no_joint(self):
+        # 21 binary nodes, each drawing up to 3 parents among the earlier
+        # ones as the benchmark's CGMs do; its dense joint would take 16 MB.
+        # Of seeds 0-39, seed 28 has the largest peak for the node with the
+        # most ancestors (17 of 21).
+        rng = np.random.default_rng(28)
+        nodes = [f"V{k}" for k in range(21)]
+        edges = [
+            (nodes[p], nodes[j])
+            for j in range(1, 21)
+            for p in sorted(rng.choice(j, min(3, j), replace=False))
+        ]
+        m = random_cgm(Dag(nodes, edges), rng)
+        y = max(nodes, key=lambda v: m.dag._ancestor_masks[m.dag.index(v)].bit_count())
+        t = next(v for v in nodes[1:] if v != y and m.dag.descendants_mask(v) >> m.dag.index(y) & 1)
+        tracemalloc.start()
+        try:
+            got = truncated_factorization(m, {t: 1}).marginal([y]).values
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert peak < 1 << 20
+        assert np.array_equal(got, interventional_marginal(m, y, {t: 1}))
 
     def test_more_ancestors_than_einsum_subscripts_is_a_usage_error(self):
         nodes = [f"V{k}" for k in range(53)]

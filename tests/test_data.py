@@ -111,6 +111,25 @@ class TestCsv:
             Dataset.from_csv(path)
         assert str(err.value) == f"{path!r}: not UTF-8: byte 0xe9 at offset 11"
 
+    def test_crlf_file_takes_the_block_reader(self, tmp_path, monkeypatch):
+        rng = np.random.default_rng(4)
+        lf, crlf = tmp_path / "lf.csv", tmp_path / "crlf.csv"
+        Dataset.from_columns({"A": rng.normal(size=3000), "B": rng.random(3000) < 0.5}).to_csv(lf)
+        crlf.write_bytes(lf.read_bytes().replace(b"\n", b"\r\n"))
+        calls = []
+        read_rows = data_module._csv_rows
+
+        def counted(lines, first_line, path):
+            calls.append(first_line)
+            return read_rows(lines, first_line, path)
+
+        monkeypatch.setattr(data_module, "_csv_rows", counted)
+        want, got = Dataset.from_csv(lf), Dataset.from_csv(crlf)
+        assert calls == [1, 1]  # each file's header only
+        assert got.columns == want.columns and got.kinds == want.kinds
+        for c in want.columns:
+            assert got.column(c).tobytes() == want.column(c).tobytes()
+
     def test_reading_holds_no_per_row_lists(self, tmp_path):
         rows, cols = 50_000, 4
         rng = np.random.default_rng(3)

@@ -1,4 +1,5 @@
 import math
+from fractions import Fraction
 
 import numpy as np
 import pytest
@@ -339,6 +340,43 @@ class TestIv2sls:
         data = Dataset.from_columns({"I": iv, "T": iv, "Y": np.arange(100.0)})
         with pytest.raises(PreconditionError):
             ate_iv_2sls(data, "Y", "T", "I")
+
+    @pytest.mark.parametrize("n", [0, 1])
+    def test_fewer_than_two_rows_is_a_singular_fit(self, n):
+        from causelab.estimation import _ols
+
+        with pytest.raises(PreconditionError, match="constant regressor"):
+            _ols(np.arange(float(n)), np.arange(float(n)))
+
+    def test_covariance_of_an_ill_conditioned_design_matches_exact_arithmetic(self):
+        """XᵀX squares the design's condition number; at x's spread of 100
+        ulps its inverse put the slope's variance factor at 2.8e13, against
+        4.06e25 in exact arithmetic."""
+        from causelab.estimation import _ols
+
+        x = 10 * np.array([1.0, 1 + 100 * np.spacing(1.0), 1 + 50 * np.spacing(1.0)])
+        y = np.array([0.0, 1.0, 0.0])
+        beta, cov = _ols(x, y)
+        xs, ys = [Fraction(v) for v in x.tolist()], [Fraction(v) for v in y.tolist()]
+        xbar, ybar = sum(xs) / 3, sum(ys) / 3
+        sxx = sum((v - xbar) ** 2 for v in xs)
+        slope = sum((a - xbar) * (b - ybar) for a, b in zip(xs, ys)) / sxx
+        intercept = ybar - slope * xbar
+        sigma2 = sum((b - intercept - slope * a) ** 2 for a, b in zip(xs, ys))  # n - 2 = 1
+        exact = {
+            "slope": slope,
+            "intercept": intercept,
+            "var slope": sigma2 / sxx,
+            "var intercept": sigma2 * (Fraction(1, 3) + xbar**2 / sxx),
+        }
+        got = {
+            "slope": beta[1],
+            "intercept": beta[0],
+            "var slope": cov[1, 1],
+            "var intercept": cov[0, 0],
+        }
+        for name, want in exact.items():
+            assert abs(got[name] / float(want) - 1) < 0.1, name
 
 
 class TestRdd:

@@ -315,6 +315,26 @@ def test_block_reader_matches_whole_file_reader(text, hint):
             assert _csv_outcome(Dataset.from_csv, path) == expected
 
 
+@pytest.mark.parametrize("hint", [1, 40, data_module._READ_HINT])
+@pytest.mark.parametrize(
+    "text",
+    [
+        "A,B\r\n1,2\r\n3,4\r\n",
+        "A,B\r\n1,2\n3,4\r\n5,6",  # mixed endings, the last unterminated
+        "A,B\r\n1,2\r\n3,4\r",  # a lone CR ends the last line
+        "A,B\n1,2\r,3\r\n",  # a lone CR, then a line that starts with a comma
+        "A,B\r\n1,2\r\r\n3,4\r\n",  # a CR-only line
+    ],
+    ids=["crlf", "mixed", "cr-last", "cr-then-comma", "cr-blank"],
+)
+def test_block_reader_matches_on_carriage_returns(tmp_path, text, hint):
+    path = tmp_path / "cr.csv"
+    path.write_bytes(text.encode("utf-8"))
+    expected = _csv_outcome(dataset_from_csv_by_cells, path)
+    with mock.patch.object(data_module, "_READ_HINT", hint):
+        assert _csv_outcome(Dataset.from_csv, path) == expected
+
+
 @pytest.mark.parametrize(
     "late_line",
     [None, '"1.5",0', "1.5,oops", "1.5", "", "1.5,0\r", " 3 ,1_0"],
