@@ -6,8 +6,10 @@ exhaustive or greedy search, and bivariate direction inference under an
 additive-noise assumption.
 
 Edge-removal sweeps are deterministic: candidate conditioning sets are
-visited in (size, lexicographic) order against adjacency sets frozen per
-sweep, so results do not depend on evaluation order.
+enumerated as bitmasks in (size, lexicographic) order against adjacency
+sets frozen per sweep, so results do not depend on evaluation order. With
+the oracle, a pair the oracle graph joins is never separated, so its
+candidate sets are counted in closed form, not tested.
 """
 
 from __future__ import annotations
@@ -57,43 +59,41 @@ class SkeletonResult:
     nodes: tuple[str, ...]
     edges: frozenset[tuple[str, str]]
     sepsets: dict
+    # CI queries the sweeps ask, those an oracle answers from adjacency included
     tests_performed: int
 
 
 def _decision_fn(data: Dataset | None, cfg: DiscoveryConfig, nodes: tuple[str, ...]):
-    """Return f(i, j, zs) -> True iff independent, over node indices."""
+    """(f(i, j, zmask) -> True iff independent, over node indices; per-node
+    masks of the pairs no set separates: the oracle graph's adjacency, and
+    none for data)."""
     if cfg.ci_method == "oracle":
         g = cfg.oracle_graph
         if set(g.nodes) != set(nodes):
             raise UsageError("oracle graph nodes do not match the variables")
-        remap = tuple(g.index(name) for name in nodes)
-
-        def oracle(i, j, zs):
-            zmask = 0
-            for k in zs:
-                zmask |= 1 << remap[k]
-            return graph_mod._dsep_masks(g, 1 << remap[i], 1 << remap[j], zmask)
-
-        return oracle
+        if g.nodes != tuple(nodes):
+            g = Dag(nodes, [(g.nodes[u], g.nodes[v]) for u, v in g.edges])
+        joined = [p | c for p, c in zip(g._parent_masks, g._child_masks)]
+        return (lambda i, j, zmask: graph_mod._dsep_masks(g, 1 << i, 1 << j, zmask)), joined
 
     if data is None:
         raise UsageError("data required unless using the oracle CI mode")
 
     ci = CiTester(data)
 
-    def tester(i, j, zs):
+    def tester(i, j, zmask):
         res = ci.test(
             cfg.ci_method,
             nodes[i],
             nodes[j],
-            tuple(nodes[k] for k in zs),
+            tuple(nodes[k] for k in graph_mod._bits(zmask)),
             perms=cfg.perms,
             seed=cfg.seed,
             max_cond=cfg.max_cond_size,
         )
         return res.p_value > cfg.alpha
 
-    return tester
+    return tester, [0] * len(nodes)
 
 
 def sgs_skeleton(data: Dataset | None, cfg: DiscoveryConfig) -> SkeletonResult:
@@ -112,41 +112,44 @@ def pc_skeleton(data: Dataset | None, cfg: DiscoveryConfig) -> SkeletonResult:
 
 
 def _skeleton_search(data, cfg: DiscoveryConfig, nodes, adjacent_only: bool):
-    """Level-wise edge removal. Sweep k tests each adjacent pair i < j on the
-    k-subsets of i's frozen pool, then on those of j's pool not inside i's.
-    A pool is the node's adjacency at the sweep's start, or every other node."""
+    """Level-wise edge removal over masks. Sweep k tests each adjacent pair
+    i < j on the k-subsets of i's frozen pool, then on those of j's pool not
+    inside i's, each in lexicographic order. A pool is the node's adjacency
+    at the sweep's start, or every other node. A pair the oracle graph joins
+    is never separated: its sets are counted, not tested."""
     n = len(nodes)
-    independent = _decision_fn(data, cfg, nodes)
-    adj = [set(range(n)) - {i} for i in range(n)]
-    everyone = [sorted(a) for a in adj]
+    independent, joined = _decision_fn(data, cfg, nodes)
+    everyone = [(1 << n) - 1 & ~(1 << i) for i in range(n)]
+    adj = list(everyone)
     sepsets = {}
     tests = 0
     max_size = cfg.max_cond_size if data is not None else n - 2
     for size in range(max_size + 1):
-        pools = [sorted(a) for a in adj] if adjacent_only else everyone
-        if all(len(pool) - 1 < size for pool in pools):
+        pools = list(adj) if adjacent_only else everyone
+        if all(pool.bit_count() - 1 < size for pool in pools):
             break
         removals = []
         for i, j in itertools.combinations(range(n), 2):
-            if j not in adj[i]:
+            if not adj[i] >> j & 1:
                 continue
-            pool_i = [k for k in pools[i] if k != j]
-            inside = set(pool_i)
-            from_j = itertools.combinations([k for k in pools[j] if k != i], size)
-            for zs in itertools.chain(
-                itertools.combinations(pool_i, size),
-                (zs for zs in from_j if not inside.issuperset(zs)),
-            ):
+            pi, pj = pools[i] & ~(1 << j), pools[j] & ~(1 << i)
+            if joined[i] >> j & 1:
+                shared = math.comb((pi & pj).bit_count(), size)
+                tests += math.comb(pi.bit_count(), size) + math.comb(pj.bit_count(), size) - shared
+                continue
+            from_i = itertools.combinations([1 << k for k in graph_mod._bits(pi)], size)
+            from_j = itertools.combinations([1 << k for k in graph_mod._bits(pj)], size)
+            for zm in itertools.chain(map(sum, from_i), (z for z in map(sum, from_j) if z & ~pi)):
                 tests += 1
-                if independent(i, j, zs):
-                    removals.append((i, j, zs))
+                if independent(i, j, zm):
+                    removals.append((i, j, zm))
                     break
-        for i, j, zs in removals:
-            adj[i].discard(j)
-            adj[j].discard(i)
-            sepsets[(nodes[i], nodes[j])] = frozenset(nodes[k] for k in zs)
+        for i, j, zm in removals:
+            adj[i] &= ~(1 << j)
+            adj[j] &= ~(1 << i)
+            sepsets[(nodes[i], nodes[j])] = frozenset(nodes[k] for k in graph_mod._bits(zm))
     edges = frozenset(
-        (nodes[i], nodes[j]) for i, j in itertools.combinations(range(n), 2) if j in adj[i]
+        (nodes[i], nodes[j]) for i, j in itertools.combinations(range(n), 2) if adj[i] >> j & 1
     )
     return SkeletonResult(
         nodes=tuple(nodes), edges=edges, sepsets=sepsets, tests_performed=tests

@@ -17,6 +17,7 @@ import heapq
 import itertools
 import json
 import logging
+import operator
 from dataclasses import dataclass, field
 from typing import Iterable, Iterator, Sequence
 
@@ -48,6 +49,7 @@ class Dag:
     _descendant_masks: tuple[int, ...] = field(repr=False, compare=False)
     _ancestor_masks: tuple[int, ...] = field(repr=False, compare=False)
     _order: tuple[int, ...] = field(repr=False, compare=False)
+    _bit: dict = field(repr=False, compare=False)  # {name or index: 1 << index}
 
     def __init__(self, nodes: Sequence[str], edges: Iterable[tuple] = ()):
         nodes = tuple(nodes)
@@ -57,6 +59,7 @@ class Dag:
         object.__setattr__(self, "_parent_masks", tuple(pmask))
         object.__setattr__(self, "_child_masks", tuple(cmask))
         object.__setattr__(self, "_order", order)
+        object.__setattr__(self, "_bit", {k: 1 << i for i, v in enumerate(nodes) for k in (v, i)})
         desc = [1 << i for i in range(len(nodes))]
         for i in reversed(order):
             for j in _bits(cmask[i]):
@@ -78,15 +81,20 @@ class Dag:
                 return self.nodes.index(node)
             except ValueError:
                 raise UsageError(f"unknown node {node!r}") from None
-        i = int(node)
+        try:
+            i = operator.index(node)
+        except TypeError:
+            raise UsageError(f"node index {node!r} is not an integer") from None
         if not 0 <= i < self.n:
             raise UsageError(f"node index {i} out of range")
         return i
 
     def mask(self, nodes: Iterable[str | int]) -> int:
         m = 0
-        for node in nodes:
-            m |= 1 << self.index(node)
+        bit = self._bit
+        for node in nodes:  # exact types only: 3.0 and True hash like ints
+            b = bit.get(node) if type(node) is str or type(node) is int else None
+            m |= b or 1 << self.index(node)
         return m
 
     def names(self, mask: int) -> frozenset[str]:

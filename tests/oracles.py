@@ -434,17 +434,36 @@ def meek_closure_by_tuple_scans(n, directed, undirected):
     return directed, undirected, skipped
 
 
+def _decision_by_tuples(data, cfg, nodes):
+    """f(i, j, zs) -> True iff independent, over index tuples into nodes, one
+    query per candidate: the Bayes ball on name masks for the oracle, else
+    ``CiTester`` on name tuples. It counts no pair as joined in advance."""
+    from causelab.graph import _dsep_masks
+    from causelab.kernels import CiTester
+
+    if cfg.ci_method == "oracle":
+        g = cfg.oracle_graph
+        return lambda i, j, zs: _dsep_masks(
+            g, g.mask([nodes[i]]), g.mask([nodes[j]]), g.mask(nodes[k] for k in zs)
+        )
+    ci = CiTester(data)
+    return lambda i, j, zs: ci.test(
+        cfg.ci_method, nodes[i], nodes[j], tuple(nodes[k] for k in zs),
+        perms=cfg.perms, seed=cfg.seed, max_cond=cfg.max_cond_size,
+    ).p_value > cfg.alpha
+
+
 def sgs_skeleton_by_pairs(data, cfg, independent=None):
     """Exhaustive-subset skeleton, one pair at a time: every subset of the
     other nodes, by size then lexicographically, until one separates.
-    ``independent(i, j, zs)`` decides each test; by default, the library's
-    own decision function for ``cfg``."""
-    from causelab.discovery import SkeletonResult, _decision_fn
+    ``independent(i, j, zs)`` decides each test; by default, one query per
+    candidate set, as ``_decision_by_tuples`` asks it."""
+    from causelab.discovery import SkeletonResult
 
     nodes = cfg.oracle_graph.nodes if data is None else data.columns
     n = len(nodes)
     if independent is None:
-        independent = _decision_fn(data, cfg, nodes)
+        independent = _decision_by_tuples(data, cfg, nodes)
     edges = set()
     sepsets = {}
     tests = 0
@@ -475,12 +494,12 @@ def pc_skeleton_by_seen_tuples(data, cfg, independent=None):
     """Neighbor-restricted skeleton over sorted per-sweep adjacency
     snapshots, skipping repeated conditioning sets through a set of seen
     tuples. ``independent`` is as in ``sgs_skeleton_by_pairs``."""
-    from causelab.discovery import SkeletonResult, _decision_fn
+    from causelab.discovery import SkeletonResult
 
     nodes = cfg.oracle_graph.nodes if data is None else data.columns
     n = len(nodes)
     if independent is None:
-        independent = _decision_fn(data, cfg, nodes)
+        independent = _decision_by_tuples(data, cfg, nodes)
     adj = {i: set(range(n)) - {i} for i in range(n)}
     sepsets = {}
     tests = 0

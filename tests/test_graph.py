@@ -75,14 +75,37 @@ class TestDSeparation:
         assert not d_separated(g, ["X"], ["Z"], ["W"])
 
     def test_rejects_overlap(self):
-        with pytest.raises(UsageError):
-            d_separated(CHAIN, ["X"], ["X"], [])
-        with pytest.raises(UsageError):
-            d_separated(CHAIN, ["X"], ["Z"], ["X"])
+        overlapping = (
+            (["X"], ["X"], []),
+            (["X"], ["Z"], ["X"]),
+            (["X"], ["Z"], [np.int64(0)]),
+            (["X", 2], (v for v in ["Z"]), []),
+        )
+        for a, b, z in overlapping:
+            with pytest.raises(UsageError, match="^a, b, z must be pairwise disjoint$"):
+                d_separated(CHAIN, a, b, z)
 
     def test_rejects_empty_sides(self):
         with pytest.raises(UsageError):
             d_separated(CHAIN, [], ["Z"], [])
+
+    def test_unknown_nodes_keep_their_messages(self):
+        with pytest.raises(UsageError, match="^unknown node 'Q'$"):
+            d_separated(CHAIN, ["X"], ["Q"], [])
+        with pytest.raises(UsageError, match="^node index 3 out of range$"):
+            d_separated(CHAIN, [0], [3], [])
+        with pytest.raises(UsageError, match="^node index -1 out of range$"):
+            d_separated(CHAIN, [np.int64(-1)], ["Z"], [])
+
+    def test_non_integral_indices_are_refused(self):
+        for bad in (1.9, 1.0, 0.5):
+            with pytest.raises(UsageError, match=f"^node index {bad} is not an integer$"):
+                CHAIN.index(bad)
+            with pytest.raises(UsageError, match="is not an integer"):
+                CHAIN.mask([bad])
+        with pytest.raises(UsageError, match="is not an integer"):
+            d_separated(CHAIN, [0.5], [2.7], [1.2])
+        assert CHAIN.index(np.int64(2)) == 2 and CHAIN.mask([np.uint8(1), True]) == 0b010
 
     def test_matches_path_oracle_on_random_graphs(self, rng):
         for _ in range(40):

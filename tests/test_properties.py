@@ -807,6 +807,47 @@ def test_oracle_skeletons_match_moralisation_driven_loops(g):
     assert sgs_skeleton(None, cfg) == sgs_skeleton_by_pairs(None, cfg, independent)
 
 
+@settings(max_examples=100, deadline=None)
+@given(dags(max_nodes=8), st.randoms(use_true_random=False), st.integers(0, 6))
+def test_oracle_skeletons_over_permuted_columns_match_moralisation_driven_loops(
+    g, random, max_cond
+):
+    """Oracle CI over a dataset whose columns list the graph's nodes in another
+    order: the library relabels the graph once, the reference loops ask the
+    moralisation dual by name."""
+    names = list(g.nodes)
+    random.shuffle(names)
+    data = Dataset.from_columns({v: np.zeros(3) for v in names})
+    cfg = DiscoveryConfig(ci_method="oracle", oracle_graph=g, max_cond_size=max_cond)
+
+    def independent(i, j, zs):
+        return dsep_by_moral_ancestral_graph(g, [names[i]], [names[j]], [names[k] for k in zs])
+
+    assert pc_skeleton(data, cfg) == pc_skeleton_by_seen_tuples(data, cfg, independent)
+    assert sgs_skeleton(data, cfg) == sgs_skeleton_by_pairs(data, cfg, independent)
+
+
+@settings(max_examples=150, deadline=None)
+@given(dags(max_nodes=7), st.data())
+def test_d_separated_argument_forms_agree_with_moralisation(g, data):
+    """Names, ints, numpy ints, a mix of them and generators name the same
+    nodes, so they give the moralisation dual's verdict."""
+    order = data.draw(st.permutations(range(g.n)))
+    cut_a = data.draw(st.integers(1, g.n - 1))
+    cut_b = data.draw(st.integers(cut_a + 1, g.n))
+    a, b, z = order[:cut_a], order[cut_a:cut_b], order[cut_b:]
+    expected = dsep_by_moral_ancestral_graph(g, a, b, z)
+    forms = (
+        lambda ks: [g.nodes[k] for k in ks],
+        list,
+        lambda ks: [np.int64(k) for k in ks],
+        lambda ks: [(g.nodes[k], k, np.int32(k))[k % 3] for k in ks],
+        lambda ks: (k for k in ks),
+    )
+    for form in forms:
+        assert d_separated(g, form(a), form(b), form(z)) == expected
+
+
 @settings(max_examples=150, deadline=None)
 @given(linear_datasets())
 def test_data_skeletons_match_reference_loops(case):
