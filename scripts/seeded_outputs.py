@@ -69,6 +69,8 @@ def commands(n: int, seeds: list[int]) -> list[list[str]]:
              "--seed", str(seed)],
             ["discover", "--data", f"iv-linear-{seed}.csv", "--method", "score",
              "--score-model", "linear-gaussian", "--search", "greedy", "--seed", str(seed)],
+            ["discover", "--data", f"frontdoor-{seed}.csv", "--method", "score",
+             "--score-model", "linear-gaussian", "--search", "exhaustive", "--seed", str(seed)],
             *(["discover", "--data", f"faithfulness-violation-{seed}.csv", "--method", method,
                "--seed", str(seed)] for method in ("pc", "sgs")),
             ["discover", "--data", f"anm-nonlinear-{seed}.csv", "--method", "anm",

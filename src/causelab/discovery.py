@@ -26,7 +26,7 @@ import numpy as np
 from .data import Dataset
 from .errors import PreconditionError, UsageError
 from .graph import Cpdag, Dag, enumerate_dags
-from .kernels import CiTester, _check_alpha, _check_perms, hsic_test, kernel_ridge_fit
+from .kernels import CiTester, _check_alpha, _check_perms, _linear_fit, hsic_test, kernel_ridge_fit
 from . import graph as graph_mod
 
 logger = logging.getLogger(__name__)
@@ -231,13 +231,9 @@ def _family_loglik_multinomial(columns, child, parents):
 
 
 def _family_loglik_gaussian(columns, child, parents):
-    yv = columns[child]
-    m = len(yv)
-    design = np.column_stack([np.ones(m)] + [columns[p] for p in parents])
-    beta, *_ = np.linalg.lstsq(design, yv, rcond=None)
-    resid = yv - design @ beta
-    sigma2 = max(float(resid @ resid) / m, 1e-300)
-    ll = -0.5 * m * (math.log(2.0 * math.pi * sigma2) + 1.0)
+    _, _, _, resid, _ = _linear_fit([columns[p] for p in parents], columns[child])
+    sigma2 = max(float(resid @ resid) / len(resid), 1e-300)
+    ll = -0.5 * len(resid) * (math.log(2.0 * math.pi * sigma2) + 1.0)
     return ll, len(parents) + 2
 
 

@@ -3,8 +3,9 @@
 All estimators take a Dataset with a binary treatment column (except the
 score-based discontinuity design) and return an EffectEstimate carrying
 the point estimate plus diagnostics. Everything is deterministic given
-the data; covariates are standardized before matching and propensity
-fitting since no metric is canonical.
+the data. Linear fits run on centred columns, so no estimate depends on
+where a covariate's zero is; covariates are standardized before matching
+and propensity fitting since no metric is canonical.
 """
 
 from __future__ import annotations
@@ -23,7 +24,7 @@ from .errors import (
     UsageError,
     WeakInstrumentError,
 )
-from .kernels import _sq_distances, kernel_ridge_fit
+from .kernels import _centre, _linear_fit, _sq_distances, kernel_ridge_fit
 
 DEFAULT_CLIP = 0.01
 WEAK_INSTRUMENT_TSTAT = 3.0
@@ -47,12 +48,12 @@ class PropensityModel:
     intercept: float
     iterations: int
     converged: bool
-    _mean: np.ndarray = field(repr=False)
+    _means: tuple[np.ndarray, np.ndarray] = field(repr=False)  # each as m + c
     _scale: np.ndarray = field(repr=False)
 
     def predict(self, zmat: np.ndarray) -> np.ndarray:
         zmat = np.atleast_2d(np.asarray(zmat, dtype=float))
-        zstd = (zmat - self._mean) / self._scale
+        zstd = ((zmat - self._means[0]) - self._means[1]) / self._scale
         logits = self.intercept + zstd @ self.coef
         return 1.0 / (1.0 + np.exp(-logits))
 
@@ -72,13 +73,13 @@ def _split(data: Dataset, y: str, t: str) -> tuple[np.ndarray, np.ndarray]:
     return yv, tv
 
 
-def _standardize(zmat: np.ndarray) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
-    mean = zmat.mean(axis=0) if zmat.size else np.zeros(zmat.shape[1])
-    scale = zmat.std(axis=0) if zmat.size else np.ones(zmat.shape[1])
+def _standardize(zmat: np.ndarray) -> tuple[np.ndarray, tuple, np.ndarray]:
+    zc, m, c = _centre(zmat)
+    scale = zc.std(axis=0) if len(zc) else np.ones(zc.shape[1])
     if not np.isfinite(scale).all():
         raise PreconditionError("a covariate's standard deviation overflows")
     scale = np.where(scale > 0, scale, 1.0)
-    return (zmat - mean) / scale, mean, scale
+    return zc / scale, (m, c), scale
 
 
 def ate_rct(data: Dataset, y: str, t: str) -> EffectEstimate:
@@ -100,11 +101,10 @@ def ate_rct(data: Dataset, y: str, t: str) -> EffectEstimate:
 
 def _fit_outcome_model(zmat, yv, regressor):
     if regressor == "linear":
-        design = np.column_stack([np.ones(len(zmat)), zmat])
-        beta, _, rank, _ = np.linalg.lstsq(design, yv, rcond=None)
-        if rank < design.shape[1]:
+        beta, _, rank, _, (m, c) = _linear_fit(zmat.T, yv)
+        if rank < len(beta) + 1:
             raise PreconditionError("singular design in outcome regression")
-        return lambda q: np.column_stack([np.ones(len(q)), q]) @ beta
+        return lambda q: (m[-1] + c[-1]) + ((q - m[:-1]) - c[:-1]) @ beta
     if regressor == "kernel-ridge":
         return kernel_ridge_fit(zmat, yv).predict
     raise UsageError(f"unknown regressor {regressor!r}")
@@ -125,21 +125,17 @@ def ate_regression_adjustment(
     """
     yv, tv = _split(data, y, t)
     zmat = data.matrix(z)
-    treated, control = tv == 1, tv == 0
-    f1 = _fit_outcome_model(zmat[treated], yv[treated], regressor)
-    f0 = _fit_outcome_model(zmat[control], yv[control], regressor)
-    m1, m0 = int(treated.sum()), int(control.sum())
-    ate = 0.5 * float(
-        (yv[treated] - f0(zmat[treated])).mean()
-        + (f1(zmat[control]) - yv[control]).mean()
-    )
+    z1, z0 = zmat[tv == 1], zmat[tv == 0]
+    y1, y0 = yv[tv == 1], yv[tv == 0]
+    f1 = _fit_outcome_model(z1, y1, regressor)
+    f0 = _fit_outcome_model(z0, y0, regressor)
+    m1, m0 = len(y1), len(y0)
+    ate = 0.5 * float((y1 - f0(z1)).mean() + (f1(z0) - y0).mean())
     cate = None
     if z and all(data.kinds[c] in ("binary", "categorical") for c in z):
-        cate = {}
-        for pattern in np.unique(zmat, axis=0):
-            q = pattern[None, :]
-            key = tuple(float(v) for v in pattern)
-            cate[key] = float(f1(q)[0] - f0(q)[0])
+        patterns = np.unique(zmat, axis=0)
+        effects = f1(patterns) - f0(patterns)
+        cate = {tuple(map(float, p)): float(e) for p, e in zip(patterns, effects)}
     return EffectEstimate(
         estimator="regression-adjustment",
         ate=ate,
@@ -326,7 +322,7 @@ def fit_propensity(
     """
     tv = _binary_treatment(data, t)
     zmat = data.matrix(z)
-    zstd, mean, scale = _standardize(zmat)
+    zstd, means, scale = _standardize(zmat)
     design = np.column_stack([np.ones(data.n), zstd])
     if np.linalg.matrix_rank(design) < design.shape[1]:
         raise PreconditionError("covariate design is rank-deficient")
@@ -364,7 +360,7 @@ def fit_propensity(
         intercept=float(beta[0]),
         iterations=iteration,
         converged=converged,
-        _mean=mean,
+        _means=means,
         _scale=scale,
     )
 
@@ -421,22 +417,15 @@ def ate_front_door(data: Dataset, y: str, t: str, mdtr: str) -> EffectEstimate:
 
 
 def _ols(x: np.ndarray, yv: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
-    """Coefficients (intercept, slope) of y ~ 1 + x and their covariance.
-
-    Both come from one SVD of the design, U S Vᵀ: the coefficients are
-    V S⁻¹ Uᵀ y and the covariance σ² V S⁻² Vᵀ. Forming XᵀX instead would
-    square the design's condition number. The fit is singular when
-    rounding loses x's spread, which the rank (matrix_rank's cutoff) shows.
-    """
-    n = len(x)
-    design = np.column_stack([np.ones(n), x])
-    u, s, vt = np.linalg.svd(design, full_matrices=False)
-    if len(s) < 2 or s[1] <= s[0] * max(n, 2) * np.finfo(float).eps:
+    """Coefficients (intercept, slope) of y ~ 1 + x and their covariance, from the
+    centred fit: with d = -mean(x), the intercept is mean(y) + d slope, of variance
+    σ²/n + d² var(slope). A constant x is a singular fit."""
+    (slope,), ((var,),), rank, resid, (m, c) = _linear_fit([x], yv)
+    if rank < 2:
         raise PreconditionError("constant regressor: the least-squares fit is singular")
-    beta = vt.T @ ((u.T @ yv) / s)
-    resid = yv - design @ beta
-    sigma2 = float(resid @ resid) / max(n - 2, 1)
-    return beta, sigma2 * (vt.T / s**2) @ vt
+    d, sigma2 = -m[0] - c[0], float(resid @ resid) / max(len(x) - 2, 1)
+    cov = [[sigma2 / len(x) + d * d * var, d * var], [d * var, var]]
+    return np.array([m[1] + c[1] + d * slope, slope]), np.array(cov)
 
 
 def ate_iv_2sls(
@@ -449,26 +438,26 @@ def ate_iv_2sls(
     """Two-stage least squares with a single instrument.
 
     Stage 1 regresses treatment on the instrument (relevance enforced by
-    a t-statistic threshold); stage 2 regresses the outcome on the
-    fitted treatment, whose slope is the causal effect.
+    a t-statistic threshold). Stage 2's slope of the outcome on the fitted
+    treatment, the causal effect, is the ratio of the outcome's and the
+    treatment's slopes on the instrument, with the same residuals.
     """
     iv = data.column(instrument).astype(float)
     tv = data.column(t).astype(float)
     yv = data.column(y).astype(float)
     beta1, cov1 = _ols(iv, tv)
     slope1, se1 = float(beta1[1]), math.sqrt(cov1[1, 1])
-    tstat = abs(slope1) / se1 if se1 > 0 else float("inf")
+    tstat = abs(slope1) / se1 if se1 > 0 else (math.inf if slope1 else 0.0)
     if tstat < relevance_tstat:
         raise WeakInstrumentError(
             f"first-stage t-statistic {tstat:.2f} below threshold {relevance_tstat}"
         )
-    t_hat = float(beta1[0]) + slope1 * iv
-    beta2, cov2 = _ols(t_hat, yv)
+    reduced, cov2 = _ols(iv, yv)
     naive, _ = _ols(tv, yv)
     return EffectEstimate(
         estimator="2sls",
-        ate=float(beta2[1]),
-        stderr=math.sqrt(cov2[1, 1]),
+        ate=float(reduced[1]) / slope1,
+        stderr=math.sqrt(cov2[1, 1]) / abs(slope1),
         diagnostics={
             "first_stage_slope": slope1,
             "first_stage_tstat": tstat,
@@ -498,17 +487,14 @@ def ate_rdd(
             f"{int(above.sum())} above)"
         )
 
-    def boundary(sel):
-        # the intercept is the fit at the cutoff
-        beta, cov = _ols(sv[sel] - cutoff, yv[sel])
-        return float(beta[0]), math.sqrt(cov[0, 0])
-
-    val_above, se_above = boundary(above)
-    val_below, se_below = boundary(below)
+    # each side's intercept is its fit at the cutoff
+    (fit_above, cov_above), (fit_below, cov_below) = (
+        _ols(sv[sel] - cutoff, yv[sel]) for sel in (above, below)
+    )
     return EffectEstimate(
         estimator="rdd",
-        ate=val_above - val_below,
-        stderr=math.sqrt(se_above**2 + se_below**2),
+        ate=float(fit_above[0] - fit_below[0]),
+        stderr=math.sqrt(cov_above[0, 0] + cov_below[0, 0]),
         diagnostics={
             "epsilon": epsilon,
             "cutoff": cutoff,

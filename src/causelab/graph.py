@@ -76,18 +76,7 @@ class Dag:
         return len(self.nodes)
 
     def index(self, node: str | int) -> int:
-        if isinstance(node, str):
-            try:
-                return self.nodes.index(node)
-            except ValueError:
-                raise UsageError(f"unknown node {node!r}") from None
-        try:
-            i = operator.index(node)
-        except TypeError:
-            raise UsageError(f"node index {node!r} is not an integer") from None
-        if not 0 <= i < self.n:
-            raise UsageError(f"node index {i} out of range")
-        return i
+        return _node_index(self.nodes, node)
 
     def mask(self, nodes: Iterable[str | int]) -> int:
         m = 0
@@ -139,10 +128,29 @@ class Cpdag:
                     f"undirected edge ({u!r}, {v!r}) is a self-loop or names an unknown node"
                 )
         object.__setattr__(self, "undirected", und)
+        for u, v in self.directed:  # by name: _acyclic_structure also takes indices
+            if u not in self.nodes or v not in self.nodes:
+                raise UsageError(f"edge ({u!r}, {v!r}) references unknown node")
         dir_pairs = {tuple(sorted(e)) for e in self.directed}
         if dir_pairs & set(und):
             raise UsageError("directed and undirected edge sets overlap")
         _acyclic_structure(tuple(self.nodes), self.directed)
+
+
+def _node_index(nodes: tuple[str, ...], node: str | int) -> int:
+    """The index of a node given by name or by index; UsageError otherwise."""
+    if isinstance(node, str):
+        try:
+            return nodes.index(node)
+        except ValueError:
+            raise UsageError(f"unknown node {node!r}") from None
+    try:
+        i = operator.index(node)
+    except TypeError:
+        raise UsageError(f"node index {node!r} is not an integer") from None
+    if not 0 <= i < len(nodes):
+        raise UsageError(f"node index {i} out of range")
+    return i
 
 
 def _acyclic_structure(nodes: tuple[str, ...], edges: Iterable[tuple]) -> tuple:
@@ -151,20 +159,12 @@ def _acyclic_structure(nodes: tuple[str, ...], edges: Iterable[tuple]) -> tuple:
     duplicate name, an unknown node, a self-loop or a cycle."""
     if len(set(nodes)) != len(nodes):
         raise UsageError(f"duplicate node names in {nodes!r}")
-    index = {name: i for i, name in enumerate(nodes)}
     n = len(nodes)
     norm = set()
     pmask = [0] * n
     cmask = [0] * n
     for u, v in edges:
-        if (isinstance(u, str) and u not in index) or (
-            isinstance(v, str) and v not in index
-        ):
-            raise UsageError(f"edge ({u!r}, {v!r}) references unknown node")
-        i = index[u] if isinstance(u, str) else int(u)
-        j = index[v] if isinstance(v, str) else int(v)
-        if not (0 <= i < n and 0 <= j < n):
-            raise UsageError(f"edge ({u!r}, {v!r}) references unknown node")
+        i, j = _node_index(nodes, u), _node_index(nodes, v)
         if i == j:
             raise UsageError(f"self-loop at {nodes[i]!r}")
         norm.add((i, j))

@@ -582,6 +582,40 @@ MAX_COND_SET = 4
 RESIDUAL_RTOL = 1e-10
 
 
+def _centre(xs: np.ndarray) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
+    """xs's columns less their means, each mean as m + c: c, the mean of x - m, restores
+    what m's rounding loses at x's spread, and q - mean is (q - m) - c. A constant column
+    centres to zero. Reductions run along axis 0, fast on a C array's transpose."""
+    m = xs.sum(axis=0) / max(len(xs), 1)  # the mean, bitwise, and 0 over no rows
+    xc = xs - m
+    c = xc.sum(axis=0) / max(len(xs), 1)
+    xc -= c
+    xc[:, xs.min(axis=0, initial=np.inf) == xs.max(axis=0, initial=-np.inf)] = 0.0
+    return xc, m, c
+
+
+def _linear_fit(xs, y: np.ndarray) -> tuple:
+    """Least squares of y on [1, X] for X's k columns xs, by one SVD of the centred
+    columns at unit norm, singular values <= s0 max(n, k) eps dropped; a column with
+    max|x - mean| <= n eps max|x| adds no rank. Returns the slopes, their covariance,
+    the rank of [1, X], the residuals and the centres (m, c), y's last."""
+    cols = np.vstack([*xs, y])  # a row per column, so reductions run along rows
+    k, n, eps = len(cols) - 1, len(y), np.finfo(float).eps
+    xc, m, c = _centre(cols.T)
+    if not np.isfinite(xc).all():
+        raise PreconditionError("a column's mean or spread overflows in a linear fit")
+    scale = np.abs(xc[:, :k]).max(axis=0, initial=0.0)
+    scale[scale <= n * eps * np.abs(cols[:k]).max(axis=1, initial=0.0)] = np.inf  # constant
+    scale *= np.maximum(np.linalg.norm(xc[:, :k] / scale, axis=0), 1.0)  # no overflow
+    u, s, vt = np.linalg.svd(xc[:, :k] / scale, full_matrices=False)
+    r = int((s > s.max(initial=0.0) * max(n, k) * eps).sum())  # s descends
+    u, s, vt = u[:, :r], s[:r], vt[:r]
+    proj = u.T @ xc[:, k]
+    resid = xc[:, k] - u @ proj
+    cov = (vt.T / s**2) @ vt / np.outer(scale, scale) * (resid @ resid) / max(n - 1 - r, 1)
+    return vt.T @ (proj / s) / scale, cov, 1 + r, resid, (m, c)
+
+
 class CiTester:
     """Conditional-independence tests on one dataset.
 
@@ -625,14 +659,7 @@ class CiTester:
         if n - k - 3 <= 0:
             raise UsageError(f"need more than {k + 3} rows for |z| = {k}")
         if self._factor is None:
-            xs = self.data.matrix(self.data.columns)
-            xc = xs - xs.mean(axis=0)
-            # the mean's rounding is small next to the column's mean, not
-            # next to its spread: 1 + 1e-13 x centres to noise of x's size
-            # unless the centred column's own mean is taken out again
-            xc -= xc.mean(axis=0)
-            # a constant column centres to zero, not to its mean's rounding
-            xc[:, xs.min(axis=0) == xs.max(axis=0)] = 0.0
+            xc, _, _ = _centre(self.data.matrix(self.data.columns))
             self._factor = np.linalg.qr(xc, mode="r")
         idx = [self._index[name] for name in (a, b, *zcols)]
         return _partial_correlation_test(self._factor.T[idx], n, k)

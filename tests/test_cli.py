@@ -601,6 +601,30 @@ class TestEstimatorInputs:
             "precondition failed: constant regressor: the least-squares fit is singular\n"
         )
 
+    def test_regression_on_an_epoch_second_covariate(self, tmp_path):
+        """A covariate near 1.7e9, like a time in epoch seconds, gives the
+        ATE of the same covariate near 0. A fit on the raw design [1, Z]
+        called it singular and exited 3."""
+        import numpy as np
+        from causelab.data import Dataset
+
+        rng = np.random.default_rng(9)
+        t = (rng.random(400) < 0.5).astype(float)
+        z = np.round(rng.normal(size=400) * 1024) / 1024  # so z + 1.7e9 is exact
+        y = t + 2.0 * z + rng.normal(size=400)
+        ates = []
+        for offset in (0.0, 1.7e9):
+            path = tmp_path / f"z-{offset:.0f}.csv"
+            Dataset.from_columns({"T": t, "Z": z + offset, "Y": y}).to_csv(path)
+            res = subprocess.run(
+                [sys.executable, "-m", "causelab.cli", "estimate", "--data", str(path),
+                 "--method", "regression", "--y", "Y", "--t", "T", "--z", "Z"],
+                capture_output=True, text=True, env=_subprocess_env(), timeout=120,
+            )
+            assert res.returncode == 0, res.stderr
+            ates.append(json.loads(res.stdout)["ate"])
+        assert ates[1] == pytest.approx(ates[0], rel=1e-9)
+
     @pytest.mark.parametrize("clip", ["-1", "0.7", "0.5", "nan"])
     def test_ipw_clip_outside_its_range_exit2(self, capsys, treated_csv, clip):
         code = main(["estimate", "--data", str(treated_csv), "--method", "ipw",

@@ -251,6 +251,22 @@ class TestScoreSearch:
         assert markov_equivalent(res.dag, COLLIDER)
         assert res.graphs_scored == 25
 
+    @pytest.mark.parametrize("search", ["exhaustive", "greedy"])
+    def test_an_offset_cause_keeps_the_collider(self, search):
+        """With X at 1e7 + N(0, 1), a least-squares fit on the raw columns
+        dropped X from Y's family and both searches returned Y -> X, Y -> Z,
+        Z -> X, with no collider."""
+        data = collider_data(400, 16)
+        x = np.round(data.column("X") * 1024) / 1024  # so x + 1e7 is exact
+        cfg = DiscoveryConfig(score="linear-gaussian", search=search)
+        base, moved = (
+            score_search(Dataset.from_columns({"X": x + offset, "Y": data.column("Y"),
+                                               "Z": data.column("Z")}), cfg)
+            for offset in (0.0, 1e7)
+        )
+        assert moved.dag == base.dag and markov_equivalent(moved.dag, COLLIDER)
+        assert moved.score == pytest.approx(base.score, rel=1e-9)
+
     def test_greedy_matches_exhaustive_class(self):
         hits = 0
         for seed in range(10):

@@ -51,6 +51,16 @@ class TestDagConstruction:
         g = Dag(["A", "B"], [("A", "B"), (0, 1)])
         assert len(g.edges) == 1
 
+    def test_non_integral_endpoints_are_refused(self):
+        """int() would truncate 0.5 -> 1.7 to the edge A -> B."""
+        with pytest.raises(UsageError, match="^node index 0.5 is not an integer$"):
+            Dag(["A", "B", "C"], [(0.5, 1.7)])
+        with pytest.raises(UsageError, match="^node index 2.2 is not an integer$"):
+            Dag(["A", "B", "C"], [(0, 2.2)])
+        with pytest.raises(UsageError, match="is not an integer"):
+            dag_from_json('{"nodes": ["A", "B", "C"], "edges": [[0.9, 2.2]]}')
+        assert Dag(["A", "B", "C"], [(np.int64(0), True)]).edges == {(0, 1)}
+
     def test_parents_children(self):
         g = covariate_web_graph()
         assert tuple(g.nodes[i] for i in g.parents("Y")) == ("X2", "T", "X3")
@@ -218,6 +228,7 @@ class TestCpdag:
             (("A", "B"), {("A", "A")}, "self-loop at 'A'"),
             (("A", "B"), {("A", "Z")}, "references unknown node"),
             (("A", "A"), set(), "duplicate node names"),
+            (("A", "B", "C"), {(0, 2)}, r"^edge \(0, 2\) references unknown node$"),
         ],
     )
     def test_directed_part_must_be_a_dag(self, nodes, directed, message):

@@ -28,6 +28,7 @@ from causelab.discovery import (
     _apply,
     _family_scorer,
     _moves,
+    bic_score,
     orient,
     pc_skeleton,
     sgs_skeleton,
@@ -41,6 +42,12 @@ from causelab.graph import (
     topological_order,
 )
 from causelab.errors import PreconditionError, UsageError
+from causelab.estimation import (
+    ate_iv_2sls,
+    ate_rdd,
+    ate_regression_adjustment,
+    half_sibling_regress,
+)
 from causelab.kernels import (
     GaussianKernel,
     LinearKernel,
@@ -996,3 +1003,65 @@ def test_partial_correlation_matches_least_squares(query):
     assert abs(ours.statistic - dual.statistic) <= 1e-9 * max(1.0, dual.statistic)
     if dual.p_value > 1e-250:
         assert ours.p_value == pytest.approx(dual.p_value, rel=1e-9)
+
+
+def _on_grid(rng, n):
+    """n standard normals on a 1/1024 grid: a (x + k) is exact below for the
+    powers of two a and the integers k drawn there."""
+    return np.round(rng.normal(size=n) * 1024) / 1024
+
+
+@settings(max_examples=40, deadline=None)
+@given(st.integers(0, 2**32 - 1), st.integers(-200, 200), st.integers(-(2**40), 2**40))
+def test_linear_fits_are_affine_equivariant(seed, log2_scale, shift):
+    """x -> a x + b with b = a k, applied to a regressor, leaves the
+    regression-adjustment ATE, the 2SLS ATE and stderr, the RDD ATE (cutoff
+    and window mapped too), half-sibling residuals and the BIC gain of an
+    edge as they were, within 1e-9 relative. Fits on the raw design called
+    [1, x] rank-deficient from an offset of about 1e7 times x's spread."""
+    rng = np.random.default_rng(seed)
+    n, a = 300, 2.0**log2_scale
+
+    def mapped(x):
+        out = a * (x + shift)
+        assert np.array_equal(out / a - shift, x)  # exact, so only the fits can differ
+        return out
+
+    def agree(fn, x):
+        """fn(x, m) with m the identity, and fn(m(x), m) with m the map."""
+        base, moved = np.asarray(fn(x, lambda v: v)), np.asarray(fn(mapped(x), mapped))
+        assert np.abs(moved - base).max() <= 1e-9 * np.abs(base).max(), (base, moved)
+
+    z = _on_grid(rng, n)
+    t = (rng.random(n) < 1.0 / (1.0 + np.exp(-z))).astype(float)
+    y = t + 2.0 * z + rng.normal(size=n)
+    agree(lambda zz, _: ate_regression_adjustment(
+        Dataset.from_columns({"Z": zz, "T": t, "Y": y}), "Y", "T", ["Z"]).ate, z)
+
+    iv, hidden = _on_grid(rng, n), rng.normal(size=n)
+    treat = iv + hidden + rng.normal(size=n)
+    outcome = 2.0 * treat + hidden + rng.normal(size=n)
+
+    def iv_fit(ii, _):
+        est = ate_iv_2sls(Dataset.from_columns({"I": ii, "T": treat, "Y": outcome}), "Y", "T", "I")
+        return est.ate, est.stderr
+
+    agree(iv_fit, iv)
+    score = _on_grid(rng, n)
+    jump = 1.5 * (score >= 0.0) + score + 0.3 * rng.normal(size=n)
+    agree(lambda ss, m: ate_rdd(Dataset.from_columns({"S": ss, "Y": jump}), "Y", "S",
+                                m(0.0), m(0.5) - m(0.0)).ate, score)
+
+    siblings = np.column_stack([_on_grid(rng, n), _on_grid(rng, n)])
+    target = siblings @ np.array([1.0, -0.5]) + rng.normal(size=n)
+    agree(lambda sib, _: half_sibling_regress(target, sib), siblings)
+
+    cause = _on_grid(rng, n)
+    effect = cause + rng.normal(size=n)
+
+    def gain(cc, _):
+        data = Dataset.from_columns({"A": cc, "B": effect})
+        edge = bic_score(data, Dag(["A", "B"], [("A", "B")]), "linear-gaussian")
+        return edge - bic_score(data, Dag(["A", "B"], []), "linear-gaussian")
+
+    agree(gain, cause)
