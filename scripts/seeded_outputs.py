@@ -6,8 +6,11 @@ and of each `estimate` and `discover` method, in a temporary directory
 and prints `sha256  command [output]` for each command's stdout and each
 file it writes, plus the CSV that `sample_cgm` writes for the frontdoor
 scenario's discrete model and, as `repr` floats, that model's p(Y | do(T))
-for T = 0 and 1 and its (T, M, Y) marginal. Two checkouts produce
-byte-identical seeded outputs when their listings are identical:
+for T = 0 and 1 and its (T, M, Y) marginal. It also prints the oracle
+`pc_skeleton` and `sgs_skeleton` of a few seeded random DAGs, which no
+command reaches: `tests_performed`, the edges and the sorted separating sets.
+Two checkouts produce byte-identical seeded outputs when their listings are
+identical:
 
     PYTHONPATH=src python scripts/seeded_outputs.py > new.txt
     PYTHONPATH=../old/src python scripts/seeded_outputs.py > old.txt
@@ -51,6 +54,8 @@ EVIDENCE = ["--evidence", "Z=1", "--evidence", "X=1", "--evidence", "W=0.5",
 GRAPH = {"nodes": ["A", "B", "M", "T", "Y"],
          "edges": [["A", "T"], ["A", "M"], ["B", "M"], ["B", "Y"], ["T", "Y"]]}
 PERMS = ["--perms", "19"]
+# (nodes, parents per node) of the oracle skeletons' DAGs; SGS takes at most 8 nodes
+ORACLE_SHAPES = ((6, 2), (8, 3), (8, 5), (13, 3))
 
 
 def commands(n: int, seeds: list[int]) -> list[list[str]]:
@@ -106,6 +111,35 @@ def commands(n: int, seeds: list[int]) -> list[list[str]]:
     return cmds
 
 
+def oracle_dag(seed: int, n: int, max_parents: int):
+    """Each node draws min(max_parents, #earlier) parents among the earlier
+    nodes of a seeded random order."""
+    import numpy as np
+    from causelab.graph import Dag
+
+    rng = np.random.default_rng([seed, n, max_parents])
+    order = rng.permutation(n)
+    edges = [(int(order[p]), int(order[pos])) for pos in range(1, n)
+             for p in rng.choice(pos, min(max_parents, pos), replace=False)]
+    return Dag([f"V{k}" for k in range(n)], edges)
+
+
+def oracle_skeletons(seeds: list[int]) -> None:
+    from causelab.discovery import MAX_SGS_NODES, DiscoveryConfig, pc_skeleton, sgs_skeleton
+
+    for seed in seeds:
+        for n, max_parents in ORACLE_SHAPES:
+            cfg = DiscoveryConfig(ci_method="oracle",
+                                  oracle_graph=oracle_dag(seed, n, max_parents))
+            searches = (pc_skeleton, sgs_skeleton) if n <= MAX_SGS_NODES else (pc_skeleton,)
+            for search in searches:
+                res = search(None, cfg)
+                sepsets = sorted((a, b, sorted(z)) for (a, b), z in res.sepsets.items())
+                print(f"{search.__name__}(oracle, seed={seed}, n={n}, "
+                      f"parents={max_parents}) tests_performed={res.tests_performed} "
+                      f"edges={sorted(res.edges)} sepsets={sepsets}")
+
+
 def digest(data: bytes) -> str:
     return hashlib.sha256(data).hexdigest()
 
@@ -148,6 +182,7 @@ def main():
                   f"{probs.tolist()!r}")
         probs = joint(cgm).marginal(["T", "M", "Y"]).values
         print(f"joint(frontdoor).marginal(['T', 'M', 'Y']) {probs.tolist()!r}")
+    oracle_skeletons(args.seeds)
 
 
 if __name__ == "__main__":

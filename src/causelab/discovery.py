@@ -8,8 +8,9 @@ additive-noise assumption.
 Edge-removal sweeps are deterministic: candidate conditioning sets are
 enumerated as bitmasks in (size, lexicographic) order against adjacency
 sets frozen per sweep, so results do not depend on evaluation order. With
-the oracle, a pair the oracle graph joins is never separated, so its
-candidate sets are counted in closed form, not tested.
+the oracle, only the sets a pair's 2-paths in the oracle graph admit are
+tested: no other set d-separates the pair, so skipping them changes no
+result, and they are still counted, in closed form.
 """
 
 from __future__ import annotations
@@ -59,22 +60,23 @@ class SkeletonResult:
     nodes: tuple[str, ...]
     edges: frozenset[tuple[str, str]]
     sepsets: dict
-    # CI queries the sweeps ask, those an oracle answers from adjacency included
+    # CI queries the sweeps ask, those the oracle's constraint skips included
     tests_performed: int
 
 
 def _decision_fn(data: Dataset | None, cfg: DiscoveryConfig, nodes: tuple[str, ...]):
-    """(f(i, j, zmask) -> True iff independent, over node indices; per-node
-    masks of the pairs no set separates: the oracle graph's adjacency, and
-    none for data)."""
+    """(f(i, j, zmask) -> True iff independent, g(i, j) -> (must, forbid)),
+    over node indices: every separating zmask holds must and misses forbid.
+    The oracle reads both masks off its graph; for data every set is
+    admissible, (0, 0)."""
     if cfg.ci_method == "oracle":
         g = cfg.oracle_graph
         if set(g.nodes) != set(nodes):
             raise UsageError("oracle graph nodes do not match the variables")
         if g.nodes != tuple(nodes):
             g = Dag(nodes, [(g.nodes[u], g.nodes[v]) for u, v in g.edges])
-        joined = [p | c for p, c in zip(g._parent_masks, g._child_masks)]
-        return (lambda i, j, zmask: graph_mod._dsep_masks(g, 1 << i, 1 << j, zmask)), joined
+        constraint = functools.partial(graph_mod._separator_constraint, g)
+        return (lambda i, j, zmask: graph_mod._dsep_masks(g, 1 << i, 1 << j, zmask)), constraint
 
     if data is None:
         raise UsageError("data required unless using the oracle CI mode")
@@ -93,7 +95,7 @@ def _decision_fn(data: Dataset | None, cfg: DiscoveryConfig, nodes: tuple[str, .
         )
         return res.p_value > cfg.alpha
 
-    return tester, [0] * len(nodes)
+    return tester, lambda i, j: (0, 0)
 
 
 def sgs_skeleton(data: Dataset | None, cfg: DiscoveryConfig) -> SkeletonResult:
@@ -111,14 +113,55 @@ def pc_skeleton(data: Dataset | None, cfg: DiscoveryConfig) -> SkeletonResult:
     return _skeleton_search(data, cfg, nodes, adjacent_only=True)
 
 
+def _rank(z: int, ref: int) -> int:
+    """How many |z|-subsets of ref come before z in lexicographic order of
+    their ascending elements; z need not lie inside ref. Taking z's elements
+    in turn, those subsets agree with z below the current one and are
+    smaller at it: C(|ref above the last|, r) - C(|ref from this one|, r)."""
+    k = z.bit_count()
+    rank = 0
+    above = ref  # the elements of ref above z's previous element
+    for t, b in enumerate(graph_mod._bits(z)):
+        tail = ref >> b << b
+        rank += math.comb(above.bit_count(), k - t) - math.comb(tail.bit_count(), k - t)
+        if not tail & 1 << b:
+            break
+        above = tail ^ 1 << b
+    return rank
+
+
+def _first_separator(independent, i, j, size, pi, pj, must, forbid):
+    """The first size-subset of pi, then of pj not inside pi, that holds must,
+    misses forbid and separates i and j; None if none does. Those sets are
+    must | s over the free nodes' subsets s, in lexicographic order, since
+    two sets that share must compare as their differences do."""
+    free = size - must.bit_count()
+    if free < 0:
+        return None
+    for side, pool in enumerate((pi, pj)):
+        if must & ~pool:
+            continue
+        bits = [1 << k for k in graph_mod._bits(pool & ~must & ~forbid)]
+        for z in (must | s for s in map(sum, itertools.combinations(bits, free))):
+            if (not side or z & ~pi) and independent(i, j, z):
+                return z
+    return None
+
+
 def _skeleton_search(data, cfg: DiscoveryConfig, nodes, adjacent_only: bool):
-    """Level-wise edge removal over masks. Sweep k tests each adjacent pair
-    i < j on the k-subsets of i's frozen pool, then on those of j's pool not
-    inside i's, each in lexicographic order. A pool is the node's adjacency
-    at the sweep's start, or every other node. A pair the oracle graph joins
-    is never separated: its sets are counted, not tested."""
+    """Level-wise edge removal over masks. Sweep k asks after each adjacent
+    pair i < j on the k-subsets of i's frozen pool, then on those of j's pool
+    not inside i's, each in lexicographic order, until one separates. A pool
+    is the node's adjacency at the sweep's start, or every other node.
+
+    Only the sets the pair's (must, forbid) constraint admits are tested:
+    with the oracle, any other set leaves open a 2-path between the pair
+    (a non-collider middle outside it, or a common child with a descendant
+    in it), so the first admissible separator is the first separator.
+    tests_performed counts the whole family up to it, from its ranks."""
     n = len(nodes)
-    independent, joined = _decision_fn(data, cfg, nodes)
+    independent, constraint = _decision_fn(data, cfg, nodes)
+    pairs = [(i, j, *constraint(i, j)) for i, j in itertools.combinations(range(n), 2)]
     everyone = [(1 << n) - 1 & ~(1 << i) for i in range(n)]
     adj = list(everyone)
     sepsets = {}
@@ -129,21 +172,21 @@ def _skeleton_search(data, cfg: DiscoveryConfig, nodes, adjacent_only: bool):
         if all(pool.bit_count() - 1 < size for pool in pools):
             break
         removals = []
-        for i, j in itertools.combinations(range(n), 2):
+        for i, j, must, forbid in pairs:
             if not adj[i] >> j & 1:
                 continue
             pi, pj = pools[i] & ~(1 << j), pools[j] & ~(1 << i)
-            if joined[i] >> j & 1:
+            zm = _first_separator(independent, i, j, size, pi, pj, must, forbid)
+            on_i = math.comb(pi.bit_count(), size)
+            if zm is None:
                 shared = math.comb((pi & pj).bit_count(), size)
-                tests += math.comb(pi.bit_count(), size) + math.comb(pj.bit_count(), size) - shared
+                tests += on_i + math.comb(pj.bit_count(), size) - shared
                 continue
-            from_i = itertools.combinations([1 << k for k in graph_mod._bits(pi)], size)
-            from_j = itertools.combinations([1 << k for k in graph_mod._bits(pj)], size)
-            for zm in itertools.chain(map(sum, from_i), (z for z in map(sum, from_j) if z & ~pi)):
-                tests += 1
-                if independent(i, j, zm):
-                    removals.append((i, j, zm))
-                    break
+            if zm & ~pi:
+                tests += on_i + _rank(zm, pj) - _rank(zm, pi & pj) + 1
+            else:
+                tests += _rank(zm, pi) + 1
+            removals.append((i, j, zm))
         for i, j, zm in removals:
             adj[i] &= ~(1 << j)
             adj[j] &= ~(1 << i)

@@ -439,8 +439,11 @@ def ate_iv_2sls(
 
     Stage 1 regresses treatment on the instrument (relevance enforced by
     a t-statistic threshold). Stage 2's slope of the outcome on the fitted
-    treatment, the causal effect, is the ratio of the outcome's and the
-    treatment's slopes on the instrument, with the same residuals.
+    treatment, the causal effect β, is the ratio of the outcome's and the
+    treatment's slopes on the instrument. Its standard error takes σ from
+    the structural residuals y - ȳ - β(t - t̄), not from stage 2's, which
+    hold the part of t the instrument does not explain:
+    σ √Σ(z - z̄)² / |Σ(z - z̄)(t - t̄)|.
     """
     iv = data.column(instrument).astype(float)
     tv = data.column(t).astype(float)
@@ -452,12 +455,16 @@ def ate_iv_2sls(
         raise WeakInstrumentError(
             f"first-stage t-statistic {tstat:.2f} below threshold {relevance_tstat}"
         )
-    reduced, cov2 = _ols(iv, yv)
+    reduced, _ = _ols(iv, yv)
     naive, _ = _ols(tv, yv)
+    ate = float(reduced[1]) / slope1
+    zc, tc, yc = _centre(np.column_stack([iv, tv, yv]))[0].T
+    resid = yc - ate * tc
+    sigma = math.sqrt(float(resid @ resid) / max(data.n - 2, 1))
     return EffectEstimate(
         estimator="2sls",
-        ate=float(reduced[1]) / slope1,
-        stderr=math.sqrt(cov2[1, 1]) / abs(slope1),
+        ate=ate,
+        stderr=sigma * math.sqrt(float(zc @ zc)) / abs(float(zc @ tc)),
         diagnostics={
             "first_stage_slope": slope1,
             "first_stage_tstat": tstat,

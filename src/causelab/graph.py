@@ -258,6 +258,21 @@ def _dsep_masks(g: Dag, amask: int, bmask: int, zmask: int) -> bool:
     return True
 
 
+def _separator_constraint(g: Dag, i: int, j: int) -> tuple[int, int]:
+    """(must, forbid) masks that every z d-separating nodes i and j meets:
+    must ⊆ z and z ∩ forbid = ∅. The middle c of a 2-path i–c–j that is not a
+    collider (a common parent, or a chain either way) is open unless c ∈ z; a
+    common child c is open if z meets De(c). No z separates adjacent nodes,
+    so their must is 1 << i, which no z excluding i contains."""
+    pa, ch = g._parent_masks, g._child_masks
+    if (pa[i] | ch[i]) >> j & 1:
+        return 1 << i, 0
+    forbid = 0
+    for c in _bits(ch[i] & ch[j]):
+        forbid |= g._descendant_masks[c]
+    return pa[j] & (pa[i] | ch[i]) | pa[i] & ch[j], forbid
+
+
 def d_separated(
     g: Dag,
     a: Iterable[str | int],

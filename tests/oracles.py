@@ -112,6 +112,26 @@ def directed_paths(g: Dag, start: int, goal: int):
     return out
 
 
+def separator_constraint_by_two_paths(g: Dag, i: int, j: int) -> tuple[int, int]:
+    """(must, forbid) masks read off the 2-paths i - c - j over edge tuples: a
+    middle with an edge out along the path is a non-collider, which every
+    separator holds, and a separator misses every node a directed path leads
+    to from a common child. Adjacent nodes have no separator: must is {i}."""
+    edges = g.edges
+    if (i, j) in edges or (j, i) in edges:
+        return 1 << i, 0
+    must = forbid = 0
+    for c in range(g.n):
+        from_i, from_j = (i, c) in edges, (j, c) in edges
+        if not (from_i or (c, i) in edges) or not (from_j or (c, j) in edges):
+            continue
+        if from_i and from_j:
+            forbid |= sum(1 << d for d in range(g.n) if directed_paths(g, c, d))
+        else:
+            must |= 1 << c
+    return must, forbid
+
+
 def valid_adjustment_by_paths(g: Dag, t, y, z) -> bool:
     """Literal two-condition adjustment check via explicit path enumeration.
 

@@ -28,6 +28,7 @@ from causelab.discovery import (
     _apply,
     _family_scorer,
     _moves,
+    _rank,
     bic_score,
     orient,
     pc_skeleton,
@@ -35,6 +36,7 @@ from causelab.discovery import (
 )
 from causelab.graph import (
     Dag,
+    _separator_constraint,
     count_dags,
     d_separated,
     markov_equivalent,
@@ -105,6 +107,7 @@ from oracles import (
     reduced_form_sample,
     reduced_form_values,
     ridge_residuals_dense,
+    separator_constraint_by_two_paths,
     sgs_skeleton_by_pairs,
     sq_distances_by_loop,
     topological_order_by_rescan,
@@ -832,6 +835,86 @@ def test_oracle_skeletons_over_permuted_columns_match_moralisation_driven_loops(
 
     assert pc_skeleton(data, cfg) == pc_skeleton_by_seen_tuples(data, cfg, independent)
     assert sgs_skeleton(data, cfg) == sgs_skeleton_by_pairs(data, cfg, independent)
+
+
+@settings(max_examples=150, deadline=None)
+@given(dags(max_nodes=8))
+def test_separator_constraint_holds_for_every_separator(g):
+    """Each pair's (must, forbid) masks are those its 2-paths give, and every
+    set that breaks them leaves the pair d-connected by moralisation."""
+    for i, j in itertools.combinations(range(g.n), 2):
+        must, forbid = _separator_constraint(g, i, j)
+        assert (must, forbid) == separator_constraint_by_two_paths(g, i, j)
+        rest = [k for k in range(g.n) if k not in (i, j)]
+        for size in range(len(rest) + 1):
+            for zs in itertools.combinations(rest, size):
+                zmask = sum(1 << k for k in zs)
+                if must & ~zmask or zmask & forbid:
+                    assert not dsep_by_moral_ancestral_graph(g, [i], [j], zs)
+
+
+@st.composite
+def rank_cases(draw):
+    """(pool, ref, z): z a subset of a pool of up to 12 of 16 bits, ref the
+    pool or a set strictly inside it."""
+    pool = draw(st.lists(st.integers(0, 15), unique=True, max_size=12))
+    z = draw(st.lists(st.sampled_from(pool), unique=True)) if pool else []
+    ref = pool
+    if pool and draw(st.booleans()):
+        ref = draw(st.lists(st.sampled_from(pool), unique=True, max_size=len(pool) - 1))
+    return [sum(1 << b for b in bits) for bits in (pool, ref, z)]
+
+
+@settings(max_examples=300, deadline=None)
+@given(rank_cases())
+@example([0b1011, 0b1011, 0])
+@example([0b1011, 0b0010, 0])
+@example([0b111111111111, 0b010110011101, 0b101000100100])
+def test_rank_counts_the_sets_before_z_in_the_pool_family(case):
+    """_rank(z, ref) is the number of the pool's |z|-subsets that come before
+    z in itertools.combinations order and lie inside ref."""
+    pool, ref, z = case
+    bits = [b for b in range(16) if pool >> b & 1]
+    family = list(itertools.combinations(bits, z.bit_count()))
+    before = family[: family.index(tuple(b for b in bits if z >> b & 1))]
+    assert _rank(z, ref) == sum(all(ref >> b & 1 for b in zs) for zs in before)
+
+
+def _earlier_parent_dag(seed: int, n: int, max_parents: int = 3) -> Dag:
+    """Each node draws min(max_parents, #earlier) parents among the earlier
+    nodes of a random order."""
+    rng = np.random.default_rng(seed)
+    order = rng.permutation(n)
+    edges = [
+        (int(order[p]), int(order[pos]))
+        for pos in range(1, n)
+        for p in rng.choice(pos, min(max_parents, pos), replace=False)
+    ]
+    return Dag([f"V{k}" for k in range(n)], edges)
+
+
+LARGE_POOL_DAGS = [
+    *(pytest.param(_earlier_parent_dag(seed, n), id=f"parents3-{n}")
+      for seed, n in enumerate(range(10, 15))),
+    *(pytest.param(random_dag(n, np.random.default_rng(100 + n), 0.7), id=f"dense-{n}")
+      for n in (9, 10, 11)),
+]
+
+
+@pytest.mark.parametrize("g", LARGE_POOL_DAGS)
+def test_oracle_pc_skeleton_on_large_pools_matches_reference_loops(g):
+    """Nodes with 7 to 10 neighbours. On the dense DAGs some separators on
+    j's side come after subsets inside both pools, which the count leaves
+    out."""
+    cfg = DiscoveryConfig(ci_method="oracle", oracle_graph=g)
+    names = g.nodes
+
+    def independent(i, j, zs):
+        return dsep_by_moral_ancestral_graph(g, [names[i]], [names[j]], [names[k] for k in zs])
+
+    result = pc_skeleton(None, cfg)
+    assert result == pc_skeleton_by_seen_tuples(None, cfg)
+    assert result == pc_skeleton_by_seen_tuples(None, cfg, independent)
 
 
 @settings(max_examples=150, deadline=None)
