@@ -9,6 +9,9 @@ scenario's discrete model and, as `repr` floats, that model's p(Y | do(T))
 for T = 0 and 1 and its (T, M, Y) marginal. It also prints the oracle
 `pc_skeleton` and `sgs_skeleton` of a few seeded random DAGs, which no
 command reaches: `tests_performed`, the edges and the sorted separating sets.
+On seeded binary CGMs of 16-21 nodes with 3 parents per node, it prints the
+library's CGM queries as `repr` floats: an adjustment formula, both truncated
+marginals and two conditional mutual informations.
 Two checkouts produce byte-identical seeded outputs when their listings are
 identical:
 
@@ -140,6 +143,41 @@ def oracle_skeletons(seeds: list[int]) -> None:
                       f"edges={sorted(res.edges)} sepsets={sepsets}")
 
 
+def cgm_queries(seeds: list[int]) -> None:
+    """On each seeded CGM, with t the first node from the middle on (then
+    from the start) that has a child and y its last descendant: the
+    adjustment formula for t on y over t's parents; p(y | do(t)) for t = 0
+    and 1; I(t; a non-descendant | t's parents), which is 0; and
+    I(a; b | c) for three random nodes."""
+    import numpy as np
+    from causelab.cgm import adjustment_formula, cmi, random_cgm, truncated_factorization
+    from causelab.graph import Dag
+
+    for seed in seeds:
+        for n in range(16, 22):
+            rng = np.random.default_rng([seed, n])
+            nodes = [f"V{k}" for k in range(n)]
+            edges = [(nodes[p], nodes[j]) for j in range(1, n)
+                     for p in rng.choice(j, min(3, j), replace=False)]
+            m = random_cgm(Dag(nodes, edges), rng)
+            name = f"cgm(seed={seed}, n={n})"
+            t = next(v for v in nodes[n // 2:] + nodes[: n // 2] if m.dag.children(v))
+            y = nodes[m.dag.descendants_mask(t).bit_length() - 1]
+            z = [nodes[p] for p in m.dag.parents(t)]
+            effect = adjustment_formula(m, t, y, z)
+            print(f"adjustment_formula({name}, {t!r}, {y!r}, {z!r}) "
+                  f"{[effect[v].tolist() for v in (0, 1)]!r}")
+            for v in (0, 1):
+                probs = truncated_factorization(m, {t: v}).marginal([y]).values
+                print(f"truncated_factorization({name}, {{{t!r}: {v}}}).marginal([{y!r}]) "
+                      f"{probs.tolist()!r}")
+            other = next(u for u in nodes if u != t and u not in z
+                         and not m.dag.descendants_mask(t) >> m.dag.index(u) & 1)
+            a, b, c = (nodes[k] for k in rng.choice(n, 3, replace=False))
+            for x, w, given in ((t, other, z), (a, b, [c])):
+                print(f"cmi({name}, {x!r}, {w!r}, {given!r}) {cmi(m, x, w, given)!r}")
+
+
 def digest(data: bytes) -> str:
     return hashlib.sha256(data).hexdigest()
 
@@ -183,6 +221,7 @@ def main():
         probs = joint(cgm).marginal(["T", "M", "Y"]).values
         print(f"joint(frontdoor).marginal(['T', 'M', 'Y']) {probs.tolist()!r}")
     oracle_skeletons(args.seeds)
+    cgm_queries(args.seeds)
 
 
 if __name__ == "__main__":

@@ -1,10 +1,13 @@
 """Exact inference in discrete causal graphical models.
 
-Every query is one exact factor contraction (variable elimination by
-np.einsum on a fixed pairwise path) over the conditionals of the queried
-variables' ancestors, with point masses at intervened variables; the
-state space of that ancestral set is capped. A `Factor` contracts on
-demand, so only a full-scope factor's `values` builds the full joint.
+Every query is one exact contraction by variable elimination over the
+conditionals of the queried variables' ancestors, with point masses at
+intervened variables. A symbolic pass on bitmasks orders the variables by
+min-fill and sizes every step; ``limit`` bounds the largest joint state
+space that one step, or the result, spans, and is checked before anything
+is allocated. Each step is then one np.einsum call over the factors that
+mention the variable it sums out. A `Factor` contracts on demand, so only
+a full-scope factor's `values` builds the full joint.
 This module doubles as the oracle layer for the rest of the repository:
 interventional truths, adjustment identities and conditional mutual
 information are all computed to float precision, not approximated.
@@ -34,6 +37,7 @@ from .scm import (
     induced_graph,
 )
 
+# cells of the largest joint state space one elimination step or result spans
 DEFAULT_STATE_LIMIT = 1 << 22
 _ROW_TOL = 1e-12
 
@@ -126,11 +130,25 @@ class DiscreteCgm:
     def state_space_size(self) -> int:
         return math.prod(len(self.domains[v]) for v in self.dag.nodes)
 
+    @cached_property
+    def _layout(self) -> tuple:
+        """What the contraction reads per node index: the CPT array with the
+        node indices of its axes (its parents in index order, then the
+        node), and the domain size; then the mask of nodes whose domain
+        size is not 2."""
+        g = self.dag
+        factors = tuple(
+            (self.cpts[v].values, (*_bits(g._parent_masks[i]), i))
+            for i, v in enumerate(g.nodes)
+        )
+        card = tuple(len(self.domains[v]) for v in g.nodes)
+        return factors, card, g.mask(i for i, k in enumerate(card) if k != 2)
+
 
 @dataclass(frozen=True, eq=False)
 class Factor:
     """p(scope | do(do)) of a model, contracted on demand: ``values`` is one
-    contraction over the ancestors of scope and do, run on first use and
+    variable elimination over the ancestors of scope, run on first use and
     kept; ``marginal`` and ``total`` contract only what they need.
     """
 
@@ -145,7 +163,7 @@ class Factor:
 
     @cached_property
     def values(self) -> np.ndarray:
-        arr = np.asarray(_contract(self.model, self.scope, self.do, self.limit))
+        arr = np.asarray(_eliminate(self.model, self.scope, self.do, self.limit))
         if arr.shape != tuple(map(len, self.domains)):
             raise UsageError("factor shape does not match its domains")
         if (arr < -1e-15).any():
@@ -166,57 +184,144 @@ class Factor:
         return float(self.marginal(()).values)
 
 
-# np.einsum names each axis by a letter, so one contraction spans at most
-# 52 variables
+# np.einsum names each axis by one of 52 sublist labels, so one call spans at
+# most 52 variables; under numpy 1.x a call takes at most 31 operands
 _MAX_SUBSCRIPTS = 52
+_MAX_OPERANDS = 31
 
 
-def _ancestral_set(m: DiscreteCgm, keep: Sequence[str], do: Mapping, limit: int):
-    """The ancestors of keep and do in node order, and the value index of
-    each do variable, after every check their contraction makes up front."""
+def _plan(m: DiscreteCgm, keep: Sequence[str], do: Mapping, limit: int):
+    """The symbolic pass of `_eliminate`, on int masks: the order, every
+    step's scope and every check made before anything is allocated.
+
+    Only the ancestors of keep enter, in the graph with the edges into do
+    cut: a point mass does not depend on its parents, and every other
+    conditional sums to 1. Factor k is the conditional, or the point mass, of
+    members[k]. Each step sums one variable out of the factors that
+    mention it: the one whose neighbours in the factors' interaction graph
+    lack the fewest edges among themselves (min-fill), ties going to the
+    smaller step, then to the lower node index. Returns the keep and do
+    indices, the members, the steps as (consumed factor ids, the new
+    factor's variables) and the ids of the factors left over keep.
+    """
     g = m.dag
-    points = {v: m.value_index(v, value) for v, value in do.items()}
-    mask = 0
-    for v in (*keep, *points):
-        mask |= g._ancestor_masks[g.index(v)]
-    names = [g.nodes[i] for i in _bits(mask)]
-    size = math.prod(len(m.domains[v]) for v in names)
-    if size > limit:
-        raise UsageError(f"state space {size} exceeds limit {limit}")
-    if len(names) > _MAX_SUBSCRIPTS:
+    parents, bit = g._parent_masks, g._bit
+    # g.mask resolves every name, so each is then a key of g._bit
+    keep_mask = g.mask(keep)
+    out = [bit[v].bit_length() - 1 for v in keep]
+    points = {g.index(v): m.value_index(v, value) for v, value in do.items()}
+    cut = g.mask(points)
+    _, card, wide = m._layout
+    live = frontier = keep_mask
+    while frontier:
+        up = 0
+        for i in _bits(frontier & ~cut):
+            up |= parents[i]
+        frontier = up & ~live
+        live |= frontier
+    members = list(_bits(live))
+    scopes = [1 << i if i in points else parents[i] | 1 << i for i in members]
+    rest = [i for i in members if not keep_mask >> i & 1]
+    largest, widest = _cells(card, wide, keep_mask), len(out)
+    steps, alive = [], list(range(len(members)))
+    # adj[u]: u and every variable that shares a live factor with it
+    adj = [0] * g.n
+    for scope in scopes if rest else ():
+        for u in _bits(scope):
+            adj[u] |= scope
+    while rest:
+        best_fill = best_cells = math.inf
+        for v in rest:
+            near = adj[v]
+            cells = _cells(card, wide, near) if near & wide else 1 << near.bit_count()
+            cap = best_fill if cells < best_cells else best_fill - 1
+            if cap < 0:
+                continue
+            # each neighbour counts the others it is not joined to; v is in
+            # the neighbour's adj, so near may keep v's own bit
+            fill, bits = 0, near ^ 1 << v
+            while bits:
+                low = bits & -bits
+                fill += (near & ~adj[low.bit_length() - 1]).bit_count()
+                if fill > cap:
+                    break
+                bits ^= low
+            else:
+                best, best_fill, best_cells = v, fill, cells
+        drop = 1 << best
+        scope = adj[best] ^ drop
+        axes = [u for u in members if scope >> u & 1]
+        steps.append(([k for k in alive if scopes[k] & drop], axes))
+        alive = [k for k in alive if not scopes[k] & drop]
+        alive.append(len(scopes))
+        scopes.append(scope)
+        if best_cells > largest:
+            largest = best_cells
+        if len(axes) >= widest:
+            widest = len(axes) + 1
+        rest.remove(best)
+        for u in axes:
+            adj[u] = (adj[u] | scope) ^ drop
+    if largest > limit:
+        raise UsageError(f"state space {largest} exceeds limit {limit}")
+    if widest > _MAX_SUBSCRIPTS:
         raise UsageError(
-            f"{len(names)} ancestral variables exceed {_MAX_SUBSCRIPTS} einsum subscripts"
+            f"{widest} variables in one contraction exceed {_MAX_SUBSCRIPTS} einsum subscripts"
         )
-    return names, points
+    return out, points, members, steps, alive
 
 
-def _contract(
+def _cells(card: Sequence[int], wide: int, mask: int) -> int:
+    """The joint state count of the variables in mask; wide marks those
+    whose domain size is not 2."""
+    cells = 1 << (mask & ~wide).bit_count()
+    for i in _bits(mask & wide):
+        cells *= card[i]
+    return cells
+
+
+def _eliminate(
     m: DiscreteCgm, keep: Sequence[str], do: Mapping, limit: int
 ) -> np.ndarray:
     """Sum over all but ``keep`` of the product of the conditionals, with a
     point mass in place of the conditional of every ``do`` variable; the
     result's axes follow ``keep``.
 
-    Only the ancestors of keep and do enter, since every other conditional
-    sums to 1. Each intermediate of the fixed pairwise path spans a subset
-    of them, so ``limit`` bounds their joint state space up front.
+    Variable elimination: `_plan` orders the variables and bounds every
+    table it builds, the result included, by ``limit`` before anything is
+    allocated; then each step is one np.einsum call.
     """
-    names, points = _ancestral_set(m, keep, do, limit)
-    if not names:
+    out, points, members, steps, final = _plan(m, keep, do, limit)
+    factors, card, _ = m._layout
+    tables = [factors[i] for i in members]
+    for k, i in enumerate(members):
+        if i in points:
+            delta = np.zeros(card[i])
+            delta[points[i]] = 1.0
+            tables[k] = delta, (i,)
+    for ids, axes in steps:
+        tables.append((_product([tables[k] for k in ids], axes), axes))
+        for k in ids:
+            tables[k] = None
+    # the factors left over keep two at a time: one call over many of them
+    # runs numpy's generic loop over every operand for each output cell
+    return _product([tables[k] for k in final], out, 2)
+
+
+def _product(tables: list, axes: Sequence[int], most: int = _MAX_OPERANDS) -> np.ndarray:
+    """The product of (array, variables) tables summed onto axes, by one
+    np.einsum call per `most` tables, with labels numbered per call."""
+    if not tables:
         return np.ones(())
-    label = {v: k for k, v in enumerate(names)}
+    while len(tables) > most:
+        head, tables = tables[:most], tables[most:]
+        union = sorted({v for _, names in head for v in names})
+        tables.append((_product(head, union), union))
+    label: dict[int, int] = {}
     operands = []
-    for v in names:
-        if v in points:
-            delta = np.zeros(len(m.domains[v]))
-            delta[points[v]] = 1.0
-            operands += [delta, [label[v]]]
-        else:
-            cpt = m.cpts[v]
-            operands += [cpt.values, [label[u] for u in (*cpt.parents, v)]]
-    # numpy returns a lone operand unsummed under an empty path
-    path = ["einsum_path"] + ([(0, 1)] * (len(names) - 1) or [(0,)])
-    return np.einsum(*operands, [label[v] for v in keep], optimize=path)
+    for arr, names in tables:
+        operands += arr, [label.setdefault(v, len(label)) for v in names]
+    return np.einsum(*operands, [label[v] for v in axes])
 
 
 def joint(m: DiscreteCgm, limit: int = DEFAULT_STATE_LIMIT) -> Factor:
@@ -230,7 +335,7 @@ def truncated_factorization(
     """Interventional joint: deltas at targets times untouched conditionals,
     checked here over all variables and contracted on demand."""
     do = dict(i.assignments if isinstance(i, Intervention) else i)
-    _ancestral_set(m, m.dag.nodes, do, limit)
+    _plan(m, m.dag.nodes, do, limit)
     return Factor(m, do, limit, m.dag.nodes)
 
 
@@ -249,7 +354,7 @@ def condition(
     index = [slice(None)] + [
         m.value_index(v, given[v]) for v in keep[1:]
     ]
-    slice_vals = _contract(m, keep, {}, limit)[tuple(index)]
+    slice_vals = _eliminate(m, keep, {}, limit)[tuple(index)]
     if query in given:
         qi = m.value_index(query, given[query])
         if slice_vals[qi] <= 0:
@@ -268,7 +373,7 @@ def interventional_marginal(
 ) -> np.ndarray:
     """p(target | do(i)) over the target domain, by the truncated factorization."""
     do = i.assignments if isinstance(i, Intervention) else i
-    return _contract(m, [target], do, limit)
+    return _eliminate(m, [target], do, limit)
 
 
 def adjustment_formula(
@@ -288,7 +393,7 @@ def adjustment_formula(
         raise UsageError("treatment and outcome must differ")
     if t in z or y in z:
         raise UsageError("adjustment set must exclude treatment and outcome")
-    marg = _contract(m, [t] + z + [y], {}, limit)  # axes: t, *z, y
+    marg = _eliminate(m, [t] + z + [y], {}, limit)  # axes: t, *z, y
     pz = marg.sum(axis=(0, -1))  # over z axes
     positive = (pz > 0)[..., None]
     out = {}
@@ -319,7 +424,7 @@ def front_door_formula(
     strictly positive.
     """
     _check_front_door_shape(m.dag, t, mdtr, y)
-    marg = _contract(m, [t, mdtr, y], {}, limit)  # axes: t, m, y
+    marg = _eliminate(m, [t, mdtr, y], {}, limit)  # axes: t, m, y
     ptm = marg.sum(axis=2)
     if (ptm <= 0).any():
         bad = np.argwhere(ptm <= 0)[0]
@@ -370,13 +475,13 @@ def cmi(
         raise UsageError("conditioning set must exclude the tested variables")
     if a == b:
         # I(A; A | Z) is the conditional entropy H(A | Z)
-        paz = _contract(m, [a] + z, {}, limit)
+        paz = _eliminate(m, [a] + z, {}, limit)
         pz = paz.sum(axis=0) if z else paz.sum()
         with np.errstate(divide="ignore", invalid="ignore"):
             ratio = np.where(paz > 0, paz / pz, 1.0)
         val = -float(np.sum(paz * np.log(ratio), where=paz > 0))
         return max(val, 0.0)
-    pabz = _contract(m, [a, b] + z, {}, limit)
+    pabz = _eliminate(m, [a, b] + z, {}, limit)
     paz = pabz.sum(axis=1)
     pbz = pabz.sum(axis=0)
     pz = pabz.sum(axis=(0, 1)) if z else np.asarray(pabz.sum())

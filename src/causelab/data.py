@@ -8,8 +8,10 @@ CSV files are written and read a block of rows at a time, and the
 writer formats each column of a block as a whole, so neither direction
 holds the file as per-row lists or per-cell strings. A read block that is not plain (a carriage
 return, a wrong comma count, or a cell float() rejects, such as a
-quoted or empty one) hands the rest of the file to csv.reader, which
-gives the cells, values and error messages it always gave.
+quoted or empty one) goes to csv.reader, which gives the cells, values
+and error messages it always gave. The next block is tried as plain
+again, unless a quoted line break crossed the block's end; then
+csv.reader reads the rest of the file.
 """
 
 from __future__ import annotations
@@ -50,11 +52,18 @@ def write_atomic(path: str | os.PathLike, text: str | Iterable[str]) -> None:
 
 
 def infer_kind(values: np.ndarray) -> str:
-    uniq = np.unique(values)
-    if uniq.size <= 2 and np.all(np.isin(uniq, (0.0, 1.0))):
+    """"binary" when every value is 0 or 1, "categorical" when every value
+    is integral and at most _CATEGORICAL_MAX_LEVELS distinct, else "real".
+
+    Elementwise tests decide; only an integral column is sorted, to count
+    its levels. (np.unique would import numpy.ma on its first call.)
+    """
+    if ((values == 0.0) | (values == 1.0)).all():
         return "binary"
-    if np.all(uniq == np.round(uniq)) and uniq.size <= _CATEGORICAL_MAX_LEVELS:
-        return "categorical"
+    if (values == np.round(values)).all():
+        ordered = np.sort(values)
+        if np.count_nonzero(ordered[1:] != ordered[:-1]) < _CATEGORICAL_MAX_LEVELS:
+            return "categorical"
     return "real"
 
 
@@ -149,7 +158,7 @@ class Dataset:
 
 def _read_csv(fh, path) -> tuple[list[str], np.ndarray]:
     """Header and rows×columns floats of an open CSV file."""
-    header = next(_csv_rows(fh, 1, path), None)
+    header = next(_csv_rows(csv.reader(fh), 1, path), None)
     if header is None:
         raise UsageError(f"{path!r}: empty file, header row required")
     if len(set(header)) != len(header) or any(not h for h in header):
@@ -157,21 +166,29 @@ def _read_csv(fh, path) -> tuple[list[str], np.ndarray]:
     width, line, blocks = len(header), 2, []
     while lines := fh.readlines(_READ_HINT):
         block = _parse_plain(lines, width)
-        if block is None:
-            rows = _csv_rows(itertools.chain(lines, fh), line, path)
+        if block is not None:
+            blocks.append(block)
+            line += len(lines)
+            continue
+        reader = csv.reader(itertools.chain(lines, fh))
+        rows = _csv_rows(reader, line, path)
+        chunk = list(itertools.islice(rows, len(lines)))
+        blocks.append(_parse_rows(chunk, width, line, path))
+        line += len(chunk)
+        if reader.line_num > len(lines):
+            # a quoted line break crossed the block's end: csv.reader reads
+            # the rest of the file, and messages number its rows, as before
             while chunk := list(itertools.islice(rows, _BLOCK_ROWS)):
                 blocks.append(_parse_rows(chunk, width, line, path))
                 line += len(chunk)
             break
-        blocks.append(block)
-        line += len(lines)
     return header, np.concatenate(blocks) if blocks else np.empty((0, width))
 
 
-def _csv_rows(lines: Iterable[str], first_line: int, path) -> Iterator[list[str]]:
-    """csv.reader rows of lines that start at line first_line of the file;
-    a csv.Error, such as a field over csv.field_size_limit(), names its line."""
-    reader = csv.reader(lines)
+def _csv_rows(reader, first_line: int, path) -> Iterator[list[str]]:
+    """The rows of a csv.reader over lines that start at line first_line of
+    the file; a csv.Error, such as a field over csv.field_size_limit(),
+    names its line."""
     try:
         yield from reader
     except csv.Error as exc:

@@ -201,6 +201,33 @@ def enumerate_joint_from_cpts(cgm, do=None):
     return nodes, table
 
 
+def contract_on_fixed_path(cgm, keep, do=None):
+    """Sum over all but ``keep`` of the product of the conditionals, with a
+    point mass in place of the conditional of every ``do`` variable (name
+    -> value), axes following ``keep``: one np.einsum over the conditionals
+    of every ancestor of keep and do, on numpy's path machinery along the
+    fixed pairwise path in node order. At most 52 ancestors."""
+    g = cgm.dag
+    do = do or {}
+    ancestral = set().union(*(ancestors_by_parent_bfs(g, g.index(v)) for v in (*keep, *do)))
+    names = [v for i, v in enumerate(g.nodes) if i in ancestral]
+    if not names:
+        return np.ones(())
+    label = {v: k for k, v in enumerate(names)}
+    operands = []
+    for v in names:
+        if v in do:
+            delta = np.zeros(len(cgm.domains[v]))
+            delta[cgm.domains[v].index(do[v])] = 1.0
+            operands += [delta, [label[v]]]
+        else:
+            cpt = cgm.cpts[v]
+            operands += [cpt.values, [label[u] for u in (*cpt.parents, v)]]
+    # numpy returns a lone operand unsummed under an empty path
+    path = ["einsum_path"] + ([(0, 1)] * (len(names) - 1) or [(0,)])
+    return np.einsum(*operands, [label[v] for v in keep], optimize=path)
+
+
 def reduced_form_trees(m):
     """Each variable as a noise-only tree, by recursive substitution.
 
@@ -689,6 +716,17 @@ def csv_text_by_rows(data) -> str:
             ]
         )
     return buf.getvalue()
+
+
+def infer_kind_by_unique(values) -> str:
+    """A column's kind from its sorted distinct values (np.unique): binary
+    within {0, 1}, categorical for at most 20 integral levels, else real."""
+    uniq = np.unique(values)
+    if uniq.size <= 2 and np.all(np.isin(uniq, (0.0, 1.0))):
+        return "binary"
+    if np.all(uniq == np.round(uniq)) and uniq.size <= 20:
+        return "categorical"
+    return "real"
 
 
 def dataset_from_csv_by_cells(path):

@@ -36,7 +36,7 @@ from causelab.scm import (
 )
 
 from conftest import covariate_web_graph, random_dag
-from oracles import enumerate_joint_from_cpts
+from oracles import contract_on_fixed_path, enumerate_joint_from_cpts
 
 TRIANGLE = Dag(["X1", "X2", "X3"], [("X1", "X2"), ("X1", "X3"), ("X2", "X3")])
 
@@ -595,6 +595,81 @@ class TestContractionAgainstEnumeration:
         assert abs(cmi(m, a, b, z) - max(want, 0.0)) < 1e-12
 
 
+class TestEliminationAgainstFixedPath:
+    """Variable elimination against one einsum over every ancestral
+    conditional on the fixed pairwise path."""
+
+    @settings(max_examples=150, deadline=None)
+    @given(st.integers(0, 2**32 - 1))
+    def test_matches_the_fixed_path(self, seed):
+        # random_dag shuffles the order, so a CPT's parents may come after
+        # its child in index order
+        rng = np.random.default_rng(seed)
+        n = int(rng.integers(1, 9))
+        g = random_dag(n, rng, float(rng.uniform(0.1, 0.8)))
+        doms = {v: tuple(range(int(rng.integers(1, 4)))) for v in g.nodes}
+        m = random_cgm(g, rng, doms, concentration=float(rng.choice([0.3, 1.0])))
+        keep = _pick(rng, g.nodes, int(rng.integers(0, n + 1)))
+        do = {v: doms[v][int(rng.integers(len(doms[v])))] for v in g.nodes if rng.random() < 0.3}
+        got = truncated_factorization(m, do).marginal(keep).values
+        want = contract_on_fixed_path(m, keep, do)
+        assert got.shape == np.shape(want)
+        assert np.abs(got - want).max(initial=0.0) < 1e-12
+
+    @pytest.mark.parametrize("seed", range(6))
+    def test_a_two_cell_answer_builds_only_small_tables(self, seed):
+        # each node's parents are its predecessor and 2 random earlier
+        # nodes, so all 21 are ancestors of V20; the fixed path's
+        # intermediates peaked at 0.04-0.42 MB on these models
+        rng = np.random.default_rng(seed)
+        nodes = [f"V{k}" for k in range(21)]
+        edges = {(nodes[j - 1], nodes[j]) for j in range(1, 21)}
+        edges |= {(nodes[p], nodes[j]) for j in range(2, 21) for p in rng.choice(j, 2, replace=False)}
+        m = random_cgm(Dag(nodes, sorted(edges)), rng)
+        tracemalloc.start()
+        try:
+            got = truncated_factorization(m, {"V1": 1}).marginal(["V20"]).values
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert peak < 1 << 16
+        assert np.abs(got - contract_on_fixed_path(m, ["V20"], {"V1": 1})).max() < 1e-12
+
+    def test_a_step_over_more_factors_than_one_einsum_call_takes(self):
+        # summing out the root takes its CPT and its 40 children's: more
+        # operands than numpy 1.x's einsum accepts in one call
+        rng = np.random.default_rng(3)
+        kids = [f"C{k}" for k in range(40)]
+        g = Dag(["R", *kids], [("R", c) for c in kids])
+        m = random_cgm(g, rng, {c: (0, 1) if c == "C7" else (0,) for c in kids})
+        got = truncated_factorization(m, {}).marginal(kids).values
+        assert got.shape == (1,) * 7 + (2,) + (1,) * 32
+        assert np.abs(got - contract_on_fixed_path(m, kids)).max() < 1e-12
+
+    def test_a_200_node_bounded_window_model_answers(self):
+        # each node's parents are its predecessor and 2 of the 4 nodes
+        # before it: the ancestral state space is 2^200, the largest step
+        # 2^5 cells
+        rng = np.random.default_rng(5)
+        n = 200
+        nodes = [f"V{k}" for k in range(n)]
+        parents = [sorted({k - 1, *rng.choice(range(max(0, k - 4), k), min(2, k), replace=False)})
+                   if k else [] for k in range(n)]
+        m = random_cgm(Dag(nodes, [(nodes[p], nodes[k]) for k in range(n) for p in parents[k]]), rng)
+        got = interventional_marginal(m, "V199", {"V0": 1})
+        # the dual: a forward pass over the joint of the last 4 nodes, whose
+        # 5 consecutive indices stay distinct as einsum labels modulo 8
+        window, joint4 = [0], np.array([0.0, 1.0])
+        for k in range(1, n):
+            joint4 = np.einsum(joint4, [i % 8 for i in window], m.cpts[nodes[k]].values,
+                               [i % 8 for i in (*parents[k], k)], [i % 8 for i in (*window, k)])
+            window = window + [k]
+            if len(window) > 4:
+                joint4, window = joint4.sum(axis=0), window[1:]
+        want = joint4.sum(axis=(0, 1, 2))
+        assert np.abs(got - want).max() < 1e-12
+
+
 class TestAncestralLimit:
     def test_sparse_model_answers_what_its_joint_cannot(self, rng):
         nodes = [f"V{k}" for k in range(30)]
@@ -603,10 +678,11 @@ class TestAncestralLimit:
         m = random_cgm(g, rng)
         got = interventional_marginal(m, "V2", {"V0": 1})
         assert np.allclose(got, m.cpts["V1"].values[1] @ m.cpts["V2"].values, atol=1e-15)
-        # the limit bounds the 2^3 ancestral states, not the 2^30 joint ones
-        assert np.allclose(interventional_marginal(m, "V2", {}, limit=8).sum(), 1.0)
-        with pytest.raises(UsageError, match="state space 8 exceeds limit 4"):
-            interventional_marginal(m, "V2", {}, limit=4)
+        # the limit bounds the largest table elimination builds, 2^2 cells
+        # for (V0, V1) and (V1, V2), not the 2^30 joint states
+        assert np.allclose(interventional_marginal(m, "V2", {}, limit=4).sum(), 1.0)
+        with pytest.raises(UsageError, match="state space 4 exceeds limit 3"):
+            interventional_marginal(m, "V2", {}, limit=3)
         tracemalloc.start()
         try:
             with pytest.raises(UsageError, match=f"state space {2**30} exceeds limit"):
@@ -651,11 +727,8 @@ class TestAncestralLimit:
             domains={v: (0,) for v in nodes},
             cpts=cpts,
         )
-        assert interventional_marginal(m, "V51", {}).tolist() == [1.0]
-        for query in (
-            lambda: interventional_marginal(m, "V52", {}),
-            lambda: condition(m, "V52", {}),
-            lambda: joint(m),
-        ):
-            with pytest.raises(UsageError, match="53 ancestral variables exceed 52"):
-                query()
+        # elimination spans two variables per call; the joint's output spans 53
+        assert interventional_marginal(m, "V52", {}).tolist() == [1.0]
+        assert condition(m, "V52", {}).tolist() == [1.0]
+        with pytest.raises(UsageError, match="53 variables in one contraction exceed 52"):
+            joint(m)

@@ -976,7 +976,8 @@ class TestImports:
             "from causelab import cli\n"
             "with contextlib.redirect_stdout(io.StringIO()):\n"
             f"    assert cli.main({argv!r}) == 0\n"
-            "print(sorted(m[9:] for m in sys.modules if m.startswith('causelab.')))\n"
+            "print(sorted(m[9:] if m.startswith('causelab.') else m for m in sys.modules\n"
+            "             if m.startswith('causelab.') or m == 'numpy.ma'))\n"
         )
         out = subprocess.run([sys.executable, "-c", code], capture_output=True, text=True,
                              check=True, env=_subprocess_env())
@@ -996,6 +997,24 @@ class TestImports:
         ):
             loaded = self.loaded_after(argv)
             assert "kernels" in loaded and not loaded & self.HEAVY, (argv[0], loaded)
+
+    def test_reading_a_csv_does_not_import_numpy_ma(self, tmp_path):
+        """np.unique imports numpy.ma, about 10 ms of a CLI process; column
+        kinds are inferred without it."""
+        import numpy as np
+        from causelab.data import Dataset
+
+        rng = np.random.default_rng(6)
+        path = str(tmp_path / "xyzt.csv")
+        cols = {c: rng.normal(size=60) for c in "XYZ"}
+        Dataset.from_columns({**cols, "T": rng.random(60) < 0.5}).to_csv(path)
+        for argv in (
+            ["hsic", "--data", path, "--x", "X", "--y", "Y", "--perms", "9", "--seed", "0"],
+            ["test-ci", "--data", path, "--a", "X", "--b", "Y", "--given", "Z"],
+            ["estimate", "--data", path, "--method", "regression", "--t", "T", "--y", "Y",
+             "--z", "Z"],
+        ):
+            assert "numpy.ma" not in self.loaded_after(argv), argv[0]
 
     def test_count_dags_loads_graph_only(self):
         loaded = self.loaded_after(["count-dags", "--n", "3"])

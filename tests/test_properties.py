@@ -16,7 +16,7 @@ from hypothesis import strategies as st
 
 from causelab import data as data_module
 from causelab.cgm import _check_front_door_shape
-from causelab.data import Dataset
+from causelab.data import Dataset, infer_kind
 from causelab.discovery import (
     ADD,
     DELETE,
@@ -97,6 +97,7 @@ from oracles import (
     hsic_dense,
     hsic_permuted_dense,
     hsic_pvalue_two_valued,
+    infer_kind_by_unique,
     median_distance_dense,
     meek_closure_by_tuple_scans,
     mmd_permuted_dense,
@@ -264,6 +265,18 @@ def test_csv_round_trip_preserves_values(values):
         assert np.array_equal(back.column("V"), data.column("V"))
 
 
+@settings(max_examples=300, deadline=None)
+@given(st.lists(st.one_of(
+    st.sampled_from([0.0, -0.0, 1.0, -1.0, 0.5, 5e-324, 1e300, np.inf, -np.inf, np.nan]),
+    st.integers(-12, 12).map(float),
+), max_size=40))
+@example([float(k) for k in range(20)])
+@example([float(k) for k in range(21)])
+def test_infer_kind_matches_the_distinct_values(values):
+    arr = np.array(values, dtype=float)
+    assert infer_kind(arr) == infer_kind_by_unique(arr)
+
+
 _ODD_CELLS = (
     " 3 ", "1_0", "nan", "inf", "-inf", "1e400", "-0.0", "5e-324", "+.5", "\u00a04",
     "\x0c2", "3\u2028", "oops", "", "0x1", "1e", '"1.5"', '"2,5"', '"7\n8"', '""', '4"',
@@ -364,6 +377,50 @@ def test_block_reader_matches_on_bodies_of_several_blocks(tmp_path, late_line):
     assert _csv_outcome(Dataset.from_csv, path) == expected
     if late_line in ("1.5,oops", "1.5", ""):
         assert f"line {rows - 5 + 2}" in expected
+
+
+def test_a_quoted_cell_leaves_later_blocks_to_the_plain_reader(tmp_path, monkeypatch):
+    rows = 4 * data_module._READ_HINT // 20
+    rng = np.random.default_rng(8)
+    lines = [f"{a!r},{int(b)}" for a, b in zip(rng.normal(size=rows).tolist(),
+                                               rng.random(rows) < 0.5)]
+    plain, quoted, late_bad = (tmp_path / f"{name}.csv" for name in ("plain", "quoted", "bad"))
+    plain.write_text("A,B\n" + "\n".join(lines) + "\n")
+    a, b = lines[1].split(",")
+    lines[1] = f'"{a}",{b}'  # line 3 of the file
+    quoted.write_text("A,B\n" + "\n".join(lines) + "\n")
+    lines[-5] = "1.5,oops"
+    late_bad.write_text("A,B\n" + "\n".join(lines) + "\n")
+    parsed = []
+    parse_rows = data_module._parse_rows
+
+    def counted(rows, *args):
+        parsed.append(len(rows))
+        return parse_rows(rows, *args)
+
+    monkeypatch.setattr(data_module, "_parse_rows", counted)
+    want, got = _csv_outcome(Dataset.from_csv, plain), _csv_outcome(Dataset.from_csv, quoted)
+    assert got == want
+    # csv.reader parsed the quoted cell's block only
+    assert len(parsed) == 1 and 2 < parsed[0] < rows // 3
+    expected = _csv_outcome(dataset_from_csv_by_cells, late_bad)
+    assert f"line {rows - 5 + 2}, column 2: not a number: 'oops'" in expected
+    assert _csv_outcome(Dataset.from_csv, late_bad) == expected
+
+
+@pytest.mark.parametrize("hint", [1, 5])
+def test_a_quoted_line_break_across_a_block_end_hands_on_the_rest(tmp_path, hint):
+    # with these hints a block ends at the quoted cell's first line; the
+    # cell reads as 7, and rows after it are numbered by rows
+    text = 'A,B\n1,2\n3,"7\n"\n4,5\n6,oops\n'
+    path = tmp_path / "span.csv"
+    path.write_text(text)
+    expected = _csv_outcome(dataset_from_csv_by_cells, path)
+    assert expected.endswith("line 5, column 2: not a number: 'oops'")
+    with mock.patch.object(data_module, "_READ_HINT", hint):
+        assert _csv_outcome(Dataset.from_csv, path) == expected
+        path.write_text(text.replace("oops", "9"))
+        assert _csv_outcome(Dataset.from_csv, path) == _csv_outcome(dataset_from_csv_by_cells, path)
 
 
 _ROW_COUNTS = [0, 1, data_module._BLOCK_ROWS - 1, data_module._BLOCK_ROWS,
