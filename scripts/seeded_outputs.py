@@ -12,12 +12,19 @@ command reaches: `tests_performed`, the edges and the sorted separating sets.
 On seeded binary CGMs of 16-21 nodes with 3 parents per node, it prints the
 library's CGM queries as `repr` floats: an adjustment formula, both truncated
 marginals and two conditional mutual informations.
-Two checkouts produce byte-identical seeded outputs when their listings are
-identical:
+The first line names the Python, numpy and BLAS versions that made the
+listing. Two checkouts produce byte-identical seeded outputs when their
+listings are identical:
 
     PYTHONPATH=src python scripts/seeded_outputs.py > new.txt
     PYTHONPATH=../old/src python scripts/seeded_outputs.py > old.txt
     diff old.txt new.txt
+
+tests/seeded_outputs.txt holds the listing at `--n 200 --seeds 1`, which
+tests/test_seeded_outputs.py regenerates and compares. After a deliberate
+output change, rewrite it with
+
+    PYTHONPATH=src python scripts/seeded_outputs.py --n 200 --seeds 1 > tests/seeded_outputs.txt
 """
 
 import argparse
@@ -178,6 +185,16 @@ def cgm_queries(seeds: list[int]) -> None:
                 print(f"cmi({name}, {x!r}, {w!r}, {given!r}) {cmi(m, x, w, given)!r}")
 
 
+def versions() -> str:
+    import platform
+
+    import numpy as np
+
+    blas = np.show_config(mode="dicts")["Build Dependencies"]["blas"]
+    return (f"# python {platform.python_version()}, numpy {np.__version__}, "
+            f"{blas['name']} {blas['version']}")
+
+
 def digest(data: bytes) -> str:
     return hashlib.sha256(data).hexdigest()
 
@@ -193,6 +210,7 @@ def main():
     from causelab.cgm import cgm_from_scm, joint, sample_cgm, truncated_factorization
     from causelab.scenarios import get_scenario
 
+    print(versions())
     # the commands run in the temporary directory on the causelab imported here
     env = {**os.environ, "PYTHONPATH": str(Path(causelab.__file__).resolve().parents[1])}
     with tempfile.TemporaryDirectory() as tmp:

@@ -204,11 +204,13 @@ def _parse_plain(lines: list[str], width: int) -> np.ndarray | None:
     falls back. csv.reader splits a line with no quote at every comma.
     float() rejects every cell that holds a quote, so a block whose lines
     all have width - 1 commas and whose cells all parse is exactly width
-    cells a row.
+    cells a row. A block with a line longer than csv.field_size_limit()
+    falls back, so that csv.reader's field limit holds for every file.
     """
     text = "".join(lines)
-    commas = set(map(str.count, lines, itertools.repeat(",")))
-    if commas != {width - 1} or "\r" in text and text.count("\r") != text.count("\r\n"):
+    commas, limit = set(map(str.count, lines, itertools.repeat(","))), csv.field_size_limit()
+    if (commas != {width - 1} or "\r" in text and text.count("\r") != text.count("\r\n")
+            or len(text) > limit and max(map(len, lines)) > limit):
         return None
     cells = text.replace("\n", ",").split(",")
     if text.endswith("\n"):

@@ -24,10 +24,13 @@ from .errors import (
     UsageError,
     WeakInstrumentError,
 )
-from .kernels import _centre, _linear_fit, _sq_distances, kernel_ridge_fit
+from .kernels import _centre, _linear_fit, _lstsq, _sq_distances, kernel_ridge_fit
 
 DEFAULT_CLIP = 0.01
 WEAK_INSTRUMENT_TSTAT = 3.0
+PROPENSITY_MAX_ITER = 100
+PROPENSITY_TOL = 1e-10  # of max(1, max|β|), the largest last step of a converged fit
+SEPARATION_TOL = 10 * np.finfo(float).eps  # the least fitted p(1 - p)
 
 
 @dataclass(frozen=True)
@@ -42,7 +45,7 @@ class EffectEstimate:
 
 @dataclass(frozen=True, eq=False)
 class PropensityModel:
-    """Logistic model of p(T=1 | Z); coefficients act on raw covariates."""
+    """Logistic model of p(T=1 | Z); coefficients act on standardized covariates."""
 
     coef: np.ndarray
     intercept: float
@@ -308,52 +311,40 @@ def ate_ipw(
     )
 
 
-def fit_propensity(
-    data: Dataset,
-    t: str,
-    z: Sequence[str],
-    max_iter: int = 100,
-    tol: float = 1e-10,
-) -> PropensityModel:
-    """Logistic MLE by damped Newton iterations on standardized covariates.
+def fit_propensity(data: Dataset, t: str, z: Sequence[str]) -> PropensityModel:
+    """Logistic MLE on standardized covariates by iteratively reweighted least squares.
 
-    Raises SeparationError when the groups are perfectly separable (the
-    MLE diverges).
+    Each Newton step is the least-squares solve (kernels._lstsq) of the working residual
+    (t - p)/√w on the design [1, z] scaled by √w, w = p(1 - p); a rank below the design's
+    width is a rank-deficient design. A step is halved until the log-likelihood falls by at
+    most 1e-12 of its size, and the fit has converged once no coefficient moves by more than
+    1e-10 max(1, max|β|). A fitted p(1 - p) below 10 eps at any iterate, where R's glm
+    warns, is a fitted probability of 0 or 1: the groups are (quasi-completely) separated,
+    no MLE exists, and SeparationError is raised.
     """
     tv = _binary_treatment(data, t)
-    zmat = data.matrix(z)
-    zstd, means, scale = _standardize(zmat)
+    zstd, means, scale = _standardize(data.matrix(z))
     design = np.column_stack([np.ones(data.n), zstd])
-    if np.linalg.matrix_rank(design) < design.shape[1]:
-        raise PreconditionError("covariate design is rank-deficient")
     beta = np.zeros(design.shape[1])
-    converged = False
-    iteration = 0
-    for iteration in range(1, max_iter + 1):
+    for iteration in range(1, PROPENSITY_MAX_ITER + 1):
         logits = design @ beta
         p = 1.0 / (1.0 + np.exp(-logits))
-        grad = design.T @ (tv - p)
         w = p * (1 - p)
-        hess = design.T @ (design * w[:, None]) + 1e-12 * np.eye(design.shape[1])
-        step = np.linalg.solve(hess, grad)
-        # damping: halve until the log-likelihood does not decrease
+        if w.min(initial=1.0) < SEPARATION_TOL:
+            raise SeparationError("treatment groups are separated: fitted propensities "
+                                  "reach 0 or 1, so the propensity MLE does not exist")
+        step, _, rank, _ = _lstsq(design * np.sqrt(w)[:, None], (tv - p) / np.sqrt(w))
+        if rank < len(beta):
+            raise PreconditionError("covariate design is rank-deficient")
         ll_old = float(tv @ logits - np.logaddexp(0.0, logits).sum())
-        lam = 1.0
         for _ in range(30):
-            candidate = beta + lam * step
-            logits_new = design @ candidate
-            ll_new = float(tv @ logits_new - np.logaddexp(0.0, logits_new).sum())
-            if ll_new >= ll_old - 1e-12:
+            logits = design @ (beta + step)
+            if float(tv @ logits - np.logaddexp(0.0, logits).sum()) >= ll_old - 1e-12 * abs(ll_old):
                 break
-            lam *= 0.5
-        beta = beta + lam * step
-        margins = (2 * tv - 1) * (design @ beta)
-        if np.linalg.norm(beta[1:], ord=np.inf) > 10.0 and margins.min() > 0:
-            raise SeparationError(
-                "treatment groups are perfectly separated; propensity MLE diverges"
-            )
-        if np.linalg.norm(grad, ord=np.inf) < tol:
-            converged = True
+            step = step / 2
+        beta = beta + step
+        converged = bool(np.abs(step).max() <= PROPENSITY_TOL * max(1.0, np.abs(beta).max()))
+        if converged:
             break
     return PropensityModel(
         coef=beta[1:],

@@ -100,9 +100,6 @@ class Dag:
         m = self._descendant_masks[i]
         return m if inclusive else m & ~(1 << i)
 
-    def has_edge(self, u: str | int, v: str | int) -> bool:
-        return (self.index(u), self.index(v)) in self.edges
-
     def adjacent(self, u: str | int, v: str | int) -> bool:
         i, j = self.index(u), self.index(v)
         return (i, j) in self.edges or (j, i) in self.edges

@@ -278,7 +278,9 @@ def _median_distance(pool: np.ndarray) -> float:
     positive = upper[upper > 0]
     if positive.size == 0:
         return 1.0
-    return float(np.median(positive, overwrite_input=True))
+    half, odd = divmod(positive.size, 2)  # np.median's value, without its numpy.ma import
+    positive.partition((half - 1 + odd, half))  # in place: a copy would add to peak memory
+    return float((positive[half - 1 + odd] + positive[half]) / 2.0)  # x + x halves exactly
 
 
 def mean_map_apply(k: Kernel, xs, anchors, coeffs) -> float:
@@ -594,26 +596,36 @@ def _centre(xs: np.ndarray) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
     return xc, m, c
 
 
+def _lstsq(a: np.ndarray, b: np.ndarray) -> tuple:
+    """Least squares of b on a's k columns by one SVD of them at unit norm, singular values
+    <= s0 max(n, k) eps dropped (a zero column adds no rank): the coefficients, their
+    covariance at unit residual variance, the rank and the residuals."""
+    n, k = a.shape
+    scale = np.abs(a).max(axis=0, initial=0.0)
+    scale[scale == 0] = np.inf
+    scale *= np.maximum(np.linalg.norm(a / scale, axis=0), 1.0)  # no overflow
+    u, s, vt = np.linalg.svd(a / scale, full_matrices=False)
+    r = int((s > s.max(initial=0.0) * max(n, k) * np.finfo(float).eps).sum())  # s descends
+    u, s, vt = u[:, :r], s[:r], vt[:r]
+    proj = u.T @ b
+    cov = (vt.T / s**2) @ vt / np.outer(scale, scale)
+    return vt.T @ (proj / s) / scale, cov, r, b - u @ proj
+
+
 def _linear_fit(xs, y: np.ndarray) -> tuple:
-    """Least squares of y on [1, X] for X's k columns xs, by one SVD of the centred
-    columns at unit norm, singular values <= s0 max(n, k) eps dropped; a column with
-    max|x - mean| <= n eps max|x| adds no rank. Returns the slopes, their covariance,
-    the rank of [1, X], the residuals and the centres (m, c), y's last."""
+    """Least squares of y on [1, X] for X's k columns xs: _lstsq on the centred columns, a
+    column with max|x - mean| <= n eps max|x| taken as constant. Returns the slopes, their
+    covariance, the rank of [1, X], the residuals and the centres (m, c), y's last."""
     cols = np.vstack([*xs, y])  # a row per column, so reductions run along rows
-    k, n, eps = len(cols) - 1, len(y), np.finfo(float).eps
+    k, n = len(cols) - 1, len(y)
     xc, m, c = _centre(cols.T)
     if not np.isfinite(xc).all():
         raise PreconditionError("a column's mean or spread overflows in a linear fit")
-    scale = np.abs(xc[:, :k]).max(axis=0, initial=0.0)
-    scale[scale <= n * eps * np.abs(cols[:k]).max(axis=1, initial=0.0)] = np.inf  # constant
-    scale *= np.maximum(np.linalg.norm(xc[:, :k] / scale, axis=0), 1.0)  # no overflow
-    u, s, vt = np.linalg.svd(xc[:, :k] / scale, full_matrices=False)
-    r = int((s > s.max(initial=0.0) * max(n, k) * eps).sum())  # s descends
-    u, s, vt = u[:, :r], s[:r], vt[:r]
-    proj = u.T @ xc[:, k]
-    resid = xc[:, k] - u @ proj
-    cov = (vt.T / s**2) @ vt / np.outer(scale, scale) * (resid @ resid) / max(n - 1 - r, 1)
-    return vt.T @ (proj / s) / scale, cov, 1 + r, resid, (m, c)
+    x = xc[:, :k]
+    x[:, np.abs(x).max(axis=0, initial=0.0)
+      <= n * np.finfo(float).eps * np.abs(cols[:k]).max(axis=1, initial=0.0)] = 0.0
+    beta, cov, r, resid = _lstsq(x, xc[:, k])
+    return beta, cov * (resid @ resid) / max(n - 1 - r, 1), 1 + r, resid, (m, c)
 
 
 class CiTester:

@@ -275,10 +275,6 @@ class Mechanism:
     parents: tuple[str, ...]
     expr: Expr
 
-    @property
-    def additive_noise(self) -> bool:
-        return is_additive_noise(self.expr)
-
 
 @dataclass(frozen=True, eq=False)
 class Scm:

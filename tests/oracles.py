@@ -731,12 +731,17 @@ def infer_kind_by_unique(values) -> str:
 
 def dataset_from_csv_by_cells(path):
     """A CSV file read whole by csv.reader, then one float() per cell, with
-    the library's line and column error messages."""
+    the library's line and column error messages; a csv.Error, such as a
+    field over csv.field_size_limit(), names its line."""
     from causelab.data import Dataset
     from causelab.errors import UsageError
 
     with open(path, encoding="utf-8-sig", newline="") as fh:
-        rows = list(csv.reader(fh))
+        reader = csv.reader(fh)
+        try:
+            rows = list(reader)
+        except csv.Error as exc:
+            raise UsageError(f"{path!r}: line {reader.line_num}: {exc}") from None
     if not rows:
         raise UsageError(f"{path!r}: empty file, header row required")
     header = rows[0]
@@ -799,3 +804,33 @@ def partial_correlation_lstsq(data, a, b, z=()):
         return CiTestResult("partial-correlation", float("inf"), 0.0, k)
     stat = math.sqrt(n - k - 3) * abs(math.atanh(r))
     return CiTestResult("partial-correlation", stat, math.erfc(stat / math.sqrt(2.0)), k)
+
+
+def logistic_mle_by_newton(zmat, t, iterations: int = 60):
+    """Intercept and slopes of the logistic MLE of t on [1, z], with z's columns
+    standardized to mean 0 and population standard deviation 1 as the library's
+    propensity model reports them. Newton steps, each np.linalg.lstsq's solution
+    of sqrt(w) X d = (t - p) / sqrt(w): a fixed number halved while the
+    log-likelihood falls, then five full ones, as near the optimum the gain is
+    below the log-likelihood's rounding. NaN once a fitted probability rounds to
+    0 or 1."""
+    zmat = np.asarray(zmat, dtype=float).reshape(len(t), -1)
+    sd = zmat.std(axis=0)
+    zstd = (zmat - zmat.mean(axis=0)) / np.where(sd > 0, sd, 1.0)
+    design = np.column_stack([np.ones(len(t)), zstd])
+
+    def loglik(beta):
+        logits = design @ beta
+        return float(t @ logits - np.logaddexp(0.0, logits).sum())
+
+    beta = np.zeros(design.shape[1])
+    for damped in [True] * iterations + [False] * 5:
+        p = 1.0 / (1.0 + np.exp(-(design @ beta)))
+        root = np.sqrt(p * (1.0 - p))
+        if not root.min() > 0:
+            return math.nan, np.full(design.shape[1] - 1, math.nan)
+        step = np.linalg.lstsq(design * root[:, None], (t - p) / root, rcond=None)[0]
+        while damped and loglik(beta + step) < loglik(beta) and np.abs(step).max() > 0:
+            step = step / 2
+        beta = beta + step
+    return float(beta[0]), beta[1:]

@@ -681,6 +681,20 @@ class TestNonFinite:
         assert res.returncode == 3 and res.stdout == ""
         assert res.stderr == "precondition failed: empty cell (T=0.0, M=2.0)\n"
 
+    def test_separated_propensity_is_one_line_exit3(self, tmp_path):
+        from test_estimation import quasi_separated
+
+        path = tmp_path / "sep.csv"
+        quasi_separated(400, 0).to_csv(path)
+        res = subprocess.run(
+            [sys.executable, "-m", "causelab.cli", "estimate", "--data", str(path),
+             "--method", "ipw", "--y", "Y", "--t", "T", "--z", "Z"],
+            capture_output=True, text=True, env=_subprocess_env(), timeout=120,
+        )
+        assert res.returncode == 3 and res.stdout == ""
+        assert res.stderr == ("precondition failed: treatment groups are separated: fitted "
+                              "propensities reach 0 or 1, so the propensity MLE does not exist\n")
+
     def test_non_finite_sample_is_one_line_without_warnings(self, tmp_path):
         path = tmp_path / "sqrt.json"
         path.write_text(json.dumps({"variables": [
@@ -999,8 +1013,8 @@ class TestImports:
             assert "kernels" in loaded and not loaded & self.HEAVY, (argv[0], loaded)
 
     def test_reading_a_csv_does_not_import_numpy_ma(self, tmp_path):
-        """np.unique imports numpy.ma, about 10 ms of a CLI process; column
-        kinds are inferred without it."""
+        """np.unique and np.median import numpy.ma, about 10 ms of a CLI
+        process; column kinds and median distances are found without them."""
         import numpy as np
         from causelab.data import Dataset
 
@@ -1013,6 +1027,8 @@ class TestImports:
             ["test-ci", "--data", path, "--a", "X", "--b", "Y", "--given", "Z"],
             ["estimate", "--data", path, "--method", "regression", "--t", "T", "--y", "Y",
              "--z", "Z"],
+            ["estimate", "--data", path, "--method", "ipw", "--t", "T", "--y", "Y", "--z", "Z"],
+            ["mmd", "--data1", path, "--data2", path, "--perms", "9", "--seed", "0"],
         ):
             assert "numpy.ma" not in self.loaded_after(argv), argv[0]
 

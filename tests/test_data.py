@@ -111,6 +111,20 @@ class TestCsv:
             Dataset.from_csv(path)
         assert str(err.value) == f"{path!r}: not UTF-8: byte 0xe9 at offset 11"
 
+    def test_field_limit_holds_on_both_readers(self, tmp_path):
+        """A cell longer than csv.field_size_limit() is refused whether its
+        block is plain (read by split) or holds a quote (read by csv.reader)."""
+        long_line = "1" + " " * 140_000 + ",3\n"
+        plain, quoted = tmp_path / "plain.csv", tmp_path / "quoted.csv"
+        plain.write_text("A,B\n1,2\n" + long_line)
+        quoted.write_text('A,B\n"1",2\n' + long_line)
+        errors = []
+        for path in (plain, quoted):
+            with pytest.raises(UsageError) as err:
+                Dataset.from_csv(path)
+            errors.append(str(err.value).replace(repr(path), "<path>"))
+        assert errors[0] == errors[1] == "<path>: line 3: field larger than field limit (131072)"
+
     def test_crlf_file_takes_the_block_reader(self, tmp_path, monkeypatch):
         rng = np.random.default_rng(4)
         lf, crlf = tmp_path / "lf.csv", tmp_path / "crlf.csv"

@@ -52,6 +52,16 @@ def confounded(n, seed, effect=1.0, randomized=False):
     return Dataset.from_columns({"Z": z, "W": w, "T": t, "Y": y}), p
 
 
+def quasi_separated(n, seed):
+    """Z uniform on {-3, ..., 3}; T = 1 when Z > 0 and 0 when Z < 0, a coin at
+    Z = 0; Y = T + Z/2 + N(0, 1). The logistic MLE of T on Z does not exist."""
+    rng = np.random.default_rng(seed)
+    z = rng.integers(-3, 4, n)
+    t = np.where(z > 0, 1, np.where(z < 0, 0, rng.integers(0, 2, n)))
+    y = t + 0.5 * z + rng.normal(size=n)
+    return Dataset.from_columns({"Z": z.astype(float), "T": t.astype(float), "Y": y})
+
+
 class TestRct:
     def test_constant_groups(self):
         data = Dataset.from_columns(
@@ -262,6 +272,24 @@ class TestPropensityFit:
         data = Dataset.from_columns({"Z": z, "T": t})
         with pytest.raises(SeparationError):
             fit_propensity(data, "T", ["Z"])
+
+    def test_quasi_complete_separation_detected(self):
+        """T = 1 above 0 and 0 below, a coin at 0: the classes overlap in one
+        value, the MLE does not exist, and fitted propensities reach 0 and 1."""
+        data = quasi_separated(400, 0)
+        with pytest.raises(SeparationError):
+            fit_propensity(data, "T", ["Z"])
+
+    def test_binary_covariate_converges_to_the_group_rates(self):
+        """The MLE on one binary covariate predicts each group's treated share.
+        A damping rule with an absolute 1e-12 in place of a relative one halved
+        every full step here, below the log-likelihood's rounding, and stalled."""
+        data, _ = confounded(10000, 14)
+        model = fit_propensity(data, "T", ["W"])
+        assert model.converged and model.iterations <= 10
+        w, t = data.column("W"), data.column("T")
+        rates = np.array([t[w == 0].mean(), t[w == 1].mean()])
+        assert np.abs(model.predict([[0.0], [1.0]]) / rates - 1).max() <= 1e-12
 
     def test_propensity_bins(self):
         scores = np.linspace(0.01, 0.99, 100)

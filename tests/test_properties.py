@@ -43,11 +43,13 @@ from causelab.graph import (
     meek_closure,
     topological_order,
 )
-from causelab.errors import PreconditionError, UsageError
+from causelab.errors import PreconditionError, SeparationError, UsageError
 from causelab.estimation import (
+    ate_ipw,
     ate_iv_2sls,
     ate_rdd,
     ate_regression_adjustment,
+    fit_propensity,
     half_sibling_regress,
 )
 from causelab.kernels import (
@@ -88,6 +90,7 @@ from causelab.scm import (
 
 from conftest import random_dag
 from oracles import (
+    logistic_mle_by_newton,
     ancestors_by_parent_bfs,
     csv_text_by_rows,
     dataset_from_csv_by_cells,
@@ -356,6 +359,30 @@ def test_block_reader_matches_on_carriage_returns(tmp_path, text, hint):
     expected = _csv_outcome(dataset_from_csv_by_cells, path)
     with mock.patch.object(data_module, "_READ_HINT", hint):
         assert _csv_outcome(Dataset.from_csv, path) == expected
+
+
+@settings(max_examples=200, deadline=None)
+@given(
+    st.lists(st.lists(st.tuples(st.integers(-3, 3), st.integers(0, 12), st.booleans()),
+                      min_size=2, max_size=2), max_size=20),
+    st.sampled_from([1, 40, 200]),
+)
+def test_block_reader_matches_under_a_field_limit(rows, hint):
+    """Cells padded with spaces, some quoted, under a field limit of 8: both of
+    the block reader's paths refuse a longer cell at its line, as csv.reader
+    does reading the whole file, and accept a long line of short cells."""
+    cells = [[(f'"{v}{" " * pad}"' if quoted else f"{v}{' ' * pad}") for v, pad, quoted in row]
+             for row in rows]
+    with tempfile.TemporaryDirectory() as tmp:
+        path = Path(tmp) / "t.csv"
+        path.write_text("A,B\n" + "".join(",".join(row) + "\n" for row in cells))
+        limit = csv.field_size_limit(8)
+        try:
+            expected = _csv_outcome(dataset_from_csv_by_cells, path)
+            with mock.patch.object(data_module, "_READ_HINT", hint):
+                assert _csv_outcome(Dataset.from_csv, path) == expected
+        finally:
+            csv.field_size_limit(limit)
 
 
 @pytest.mark.parametrize(
@@ -1145,6 +1172,52 @@ def test_partial_correlation_matches_least_squares(query):
         assert ours.p_value == pytest.approx(dual.p_value, rel=1e-9)
 
 
+@settings(max_examples=60, deadline=None)
+@given(st.integers(0, 2**32 - 1), st.integers(20, 300), st.integers(1, 3),
+       st.floats(-2.0, 2.0), st.floats(0.0, 3.0))
+def test_propensity_fit_matches_newton_by_lstsq(seed, n, k, intercept, strength):
+    """Where the MLE exists and its fitted p(1 - p) stays above 1e-8,
+    fit_propensity's coefficients agree with Newton steps solved by
+    np.linalg.lstsq within 1e-9 relative. The first k + 1 rows recur with the
+    other treatment, so no b != 0 has x b >= 0 on the treated and <= 0 on the
+    controls: the MLE exists."""
+    rng = np.random.default_rng(seed)
+    z = rng.normal(size=(n, k)) * 10.0 ** rng.integers(-3, 4, k) + rng.normal(size=k) * 100
+    logits = intercept + strength * ((z - z.mean(axis=0)) / z.std(axis=0)) @ rng.normal(size=k)
+    t = (rng.random(n) < 1.0 / (1.0 + np.exp(-logits))).astype(float)
+    z, t = np.vstack([z, z[: k + 1]]), np.concatenate([t, 1.0 - t[: k + 1]])
+    b0, coef = logistic_mle_by_newton(z, t)
+    p = 1.0 / (1.0 + np.exp(-(b0 + ((z - z.mean(axis=0)) / z.std(axis=0)) @ coef)))
+    assume((p * (1.0 - p)).min() > 1e-8)  # false when NaN
+    model = fit_propensity(Dataset.from_columns({**{f"Z{j}": z[:, j] for j in range(k)}, "T": t}),
+                           "T", [f"Z{j}" for j in range(k)])
+    ours, dual = np.array([model.intercept, *model.coef]), np.array([b0, *coef])
+    assert model.converged
+    assert np.abs(ours - dual).max() <= 1e-9 * max(1.0, np.abs(dual).max()), (ours, dual)
+
+
+@settings(max_examples=300, deadline=None)
+@given(st.lists(st.tuples(st.integers(-3, 3), st.booleans()), min_size=2, max_size=60),
+       st.integers(-4, 3))
+@example([(-1, False)] * 5 + [(0, False), (0, True)] + [(1, True)] * 5, 0)  # one shared value
+def test_propensity_refuses_exactly_separated_data(rows, cut):
+    """With one integer covariate, the logistic MLE exists exactly when the two
+    classes' ranges overlap in more than one value (Albert & Anderson 1984);
+    otherwise fitted propensities reach 0 or 1 and the fit is refused."""
+    z = np.array([v for v, _ in rows], dtype=float)
+    assume(len(set(z.tolist())) > 1)
+    t = np.array([(v > cut) != flip for v, flip in rows], dtype=float)
+    treated, controls = z[t == 1], z[t == 0]
+    separated = (len(treated) == 0 or len(controls) == 0 or treated.max() <= controls.min()
+                 or controls.max() <= treated.min())
+    data = Dataset.from_columns({"Z": z, "T": t})
+    if separated:
+        with pytest.raises(SeparationError):
+            fit_propensity(data, "T", ["Z"])
+    else:
+        assert fit_propensity(data, "T", ["Z"]).converged
+
+
 def _on_grid(rng, n):
     """n standard normals on a 1/1024 grid: a (x + k) is exact below for the
     powers of two a and the integers k drawn there."""
@@ -1155,7 +1228,7 @@ def _on_grid(rng, n):
 @given(st.integers(0, 2**32 - 1), st.integers(-200, 200), st.integers(-(2**40), 2**40))
 def test_linear_fits_are_affine_equivariant(seed, log2_scale, shift):
     """x -> a x + b with b = a k, applied to a regressor, leaves the
-    regression-adjustment ATE, the 2SLS ATE and stderr, the RDD ATE (cutoff
+    regression-adjustment ATE, the IPW ATE with a fitted propensity, the 2SLS ATE and stderr, the RDD ATE (cutoff
     and window mapped too), half-sibling residuals and the BIC gain of an
     edge as they were, within 1e-9 relative. Fits on the raw design called
     [1, x] rank-deficient from an offset of about 1e7 times x's spread."""
@@ -1177,6 +1250,12 @@ def test_linear_fits_are_affine_equivariant(seed, log2_scale, shift):
     y = t + 2.0 * z + rng.normal(size=n)
     agree(lambda zz, _: ate_regression_adjustment(
         Dataset.from_columns({"Z": zz, "T": t, "Y": y}), "Y", "T", ["Z"]).ate, z)
+
+    def ipw(zz, _):
+        data = Dataset.from_columns({"Z": zz, "T": t, "Y": y})
+        return ate_ipw(data, "Y", "T", ["Z"], fit_propensity(data, "T", ["Z"])).ate
+
+    agree(ipw, z)
 
     iv, hidden = _on_grid(rng, n), rng.normal(size=n)
     treat = iv + hidden + rng.normal(size=n)

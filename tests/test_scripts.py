@@ -1,4 +1,5 @@
-"""The example scripts run end to end at small sizes."""
+"""The example scripts run end to end at small sizes (seeded_outputs.py in
+test_seeded_outputs.py)."""
 
 import os
 import subprocess
@@ -17,7 +18,6 @@ ROOT = Path(__file__).resolve().parent.parent
         ("run_estimator_sweep.py", ["--n", "500"]),
         ("run_kernel_calibration.py", ["--trials", "4", "--m", "30", "--perms", "19"]),
         ("run_anm_sweep.py", ["--seeds", "2", "--n", "200", "--perms", "19"]),
-        ("seeded_outputs.py", ["--n", "200", "--seeds", "1"]),
     ],
 )
 def test_script_exits_zero(script, args):
