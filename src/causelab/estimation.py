@@ -30,7 +30,7 @@ DEFAULT_CLIP = 0.01
 WEAK_INSTRUMENT_TSTAT = 3.0
 PROPENSITY_MAX_ITER = 100
 PROPENSITY_TOL = 1e-10  # of max(1, max|β|), the largest last step of a converged fit
-SEPARATION_TOL = 10 * np.finfo(float).eps  # the least fitted p(1 - p)
+SEPARATION_TOL = 10 * np.finfo(float).eps  # the least weight; a p(1 - p) below it is 0 or 1
 
 
 @dataclass(frozen=True)
@@ -57,7 +57,11 @@ class PropensityModel:
     def predict(self, zmat: np.ndarray) -> np.ndarray:
         zmat = np.atleast_2d(np.asarray(zmat, dtype=float))
         zstd = ((zmat - self._means[0]) - self._means[1]) / self._scale
-        logits = self.intercept + zstd @ self.coef
+        return _expit(self.intercept + zstd @ self.coef)
+
+
+def _expit(logits: np.ndarray) -> np.ndarray:
+    with np.errstate(over="ignore"):  # exp(-logit) = inf below -709: p = 0
         return 1.0 / (1.0 + np.exp(-logits))
 
 
@@ -315,45 +319,46 @@ def fit_propensity(data: Dataset, t: str, z: Sequence[str]) -> PropensityModel:
     """Logistic MLE on standardized covariates by iteratively reweighted least squares.
 
     Each Newton step is the least-squares solve (kernels._lstsq) of the working residual
-    (t - p)/√w on the design [1, z] scaled by √w, w = p(1 - p); a rank below the design's
-    width is a rank-deficient design. A step is halved until the log-likelihood falls by at
-    most 1e-12 of its size, and the fit has converged once no coefficient moves by more than
-    1e-10 max(1, max|β|). A fitted p(1 - p) below 10 eps at any iterate, where R's glm
-    warns, is a fitted probability of 0 or 1: the groups are (quasi-completely) separated,
-    no MLE exists, and SeparationError is raised.
+    (t - p)/√w on the design [1, z] scaled by √w, w = p(1 - p) but at least 10 eps (where
+    R's glm warns): the gradient stays exact, and a row fitted at p = 0 or 1 divides by no
+    zero. A rank below the design's width is a rank-deficient design. A step is halved until
+    the log-likelihood falls by at most 1e-12 of its size. The fit has converged once no
+    coefficient moves by more than 1e-10 max(1, max|β|), or once a step reverses the last
+    within 1e-12 of the log-likelihood (its rounding floor, on ill-conditioned data). A finite
+    MLE may fit a high-leverage row at p(1 - p) < 10 eps. Such rows are separated, no MLE
+    exists and SeparationError is raised, when the fit ends unconverged or the other rows'
+    design is rank-deficient.
     """
     tv = _binary_treatment(data, t)
     zstd, means, scale = _standardize(data.matrix(z))
     design = np.column_stack([np.ones(data.n), zstd])
-    beta = np.zeros(design.shape[1])
+    sign = 2 * tv - 1  # log-likelihood -Σ log(1 + e^(-sign logit)): far-out gains still show
+    beta = last = np.zeros(design.shape[1])
     for iteration in range(1, PROPENSITY_MAX_ITER + 1):
         logits = design @ beta
-        p = 1.0 / (1.0 + np.exp(-logits))
-        w = p * (1 - p)
-        if w.min(initial=1.0) < SEPARATION_TOL:
-            raise SeparationError("treatment groups are separated: fitted propensities "
-                                  "reach 0 or 1, so the propensity MLE does not exist")
-        step, _, rank, _ = _lstsq(design * np.sqrt(w)[:, None], (tv - p) / np.sqrt(w))
+        p = _expit(logits)
+        root = np.sqrt(np.maximum(p * (1 - p), SEPARATION_TOL))
+        step, _, rank, _ = _lstsq(design * root[:, None], (tv - p) / root)
         if rank < len(beta):
             raise PreconditionError("covariate design is rank-deficient")
-        ll_old = float(tv @ logits - np.logaddexp(0.0, logits).sum())
+        ll_old = -float(np.logaddexp(0.0, -sign * logits).sum())
         for _ in range(30):
-            logits = design @ (beta + step)
-            if float(tv @ logits - np.logaddexp(0.0, logits).sum()) >= ll_old - 1e-12 * abs(ll_old):
+            ll_new = -float(np.logaddexp(0.0, -sign * (design @ (beta + step))).sum())
+            if ll_new >= ll_old - 1e-12 * abs(ll_old):
                 break
             step = step / 2
-        beta = beta + step
-        converged = bool(np.abs(step).max() <= PROPENSITY_TOL * max(1.0, np.abs(beta).max()))
+        converged = bool(np.abs(step).max() <= PROPENSITY_TOL * max(1.0, np.abs(beta + step).max())
+                         or step @ last < 0 and abs(ll_new - ll_old) <= 1e-12 * abs(ll_old))
+        beta, last = beta + step, step
         if converged:
             break
-    return PropensityModel(
-        coef=beta[1:],
-        intercept=float(beta[0]),
-        iterations=iteration,
-        converged=converged,
-        _means=means,
-        _scale=scale,
-    )
+    p = _expit(design @ beta)
+    kept = p * (1 - p) >= SEPARATION_TOL
+    if not kept.all() and (not converged or _lstsq(design[kept], tv[kept])[2] < len(beta)):
+        raise SeparationError("treatment groups are separated: fitted propensities "
+                              "reach 0 or 1, so the propensity MLE does not exist")
+    return PropensityModel(coef=beta[1:], intercept=float(beta[0]), iterations=iteration,
+                           converged=converged, _means=means, _scale=scale)
 
 
 def ate_front_door(data: Dataset, y: str, t: str, mdtr: str) -> EffectEstimate:
@@ -387,13 +392,9 @@ def ate_front_door(data: Dataset, y: str, t: str, mdtr: str) -> EffectEstimate:
     do_mean = {
         float(a): float(p_m_given_t[i] @ (cell_mean @ p_t)) for i, a in enumerate(t_vals)
     }
-    if set(do_mean) == {0.0, 1.0}:
-        ate = do_mean[1.0] - do_mean[0.0]
-        naive = float(yv[tv == 1].mean() - yv[tv == 0].mean())
-    else:
-        hi, lo = max(do_mean), min(do_mean)
-        ate = do_mean[hi] - do_mean[lo]
-        naive = float(yv[tv == hi].mean() - yv[tv == lo].mean())
+    hi, lo = max(do_mean), min(do_mean)  # 1 and 0 for a binary treatment
+    ate = do_mean[hi] - do_mean[lo]
+    naive = float(yv[tv == hi].mean() - yv[tv == lo].mean())
     return EffectEstimate(
         estimator="front-door",
         ate=ate,

@@ -806,30 +806,44 @@ def partial_correlation_lstsq(data, a, b, z=()):
     return CiTestResult("partial-correlation", stat, math.erfc(stat / math.sqrt(2.0)), k)
 
 
+def separated_by_linear_program(zmat, t) -> bool:
+    """Whether the classes of t are (quasi-completely) separated on [1, z]: some
+    d != 0 has s x d >= 0 on every row, s = +1 treated and -1 control, and > 0 on
+    one (Albert & Anderson 1984), so the logistic MLE does not exist. Decided as
+    a linear program (Konis 2007): maximise the sum of s x d over |d| <= 1 subject
+    to s x d >= 0, and call the optimum positive beyond rounding."""
+    from scipy.optimize import linprog
+
+    zmat = np.asarray(zmat, dtype=float).reshape(len(t), -1)
+    signed = (2.0 * np.asarray(t) - 1.0)[:, None] * np.column_stack([np.ones(len(t)), zmat])
+    res = linprog(-signed.sum(axis=0), A_ub=-signed, b_ub=np.zeros(len(t)),
+                  bounds=[(-1.0, 1.0)] * signed.shape[1], method="highs")
+    assert res.status == 0, res.message
+    return -res.fun > 1e-9 * max(1.0, np.abs(signed).sum())
+
+
 def logistic_mle_by_newton(zmat, t, iterations: int = 60):
     """Intercept and slopes of the logistic MLE of t on [1, z], with z's columns
     standardized to mean 0 and population standard deviation 1 as the library's
     propensity model reports them. Newton steps, each np.linalg.lstsq's solution
-    of sqrt(w) X d = (t - p) / sqrt(w): a fixed number halved while the
-    log-likelihood falls, then five full ones, as near the optimum the gain is
-    below the log-likelihood's rounding. NaN once a fitted probability rounds to
-    0 or 1."""
+    of the normal equations X'WX d = X'(t - p), w = p(1 - p), so a row fitted at
+    p = 0 or 1 drops out: a fixed number halved while the log-likelihood falls,
+    then five full ones, as near the optimum the gain is below the
+    log-likelihood's rounding."""
     zmat = np.asarray(zmat, dtype=float).reshape(len(t), -1)
     sd = zmat.std(axis=0)
     zstd = (zmat - zmat.mean(axis=0)) / np.where(sd > 0, sd, 1.0)
     design = np.column_stack([np.ones(len(t)), zstd])
 
     def loglik(beta):
-        logits = design @ beta
-        return float(t @ logits - np.logaddexp(0.0, logits).sum())
+        return -float(np.logaddexp(0.0, (1.0 - 2.0 * t) * (design @ beta)).sum())
 
     beta = np.zeros(design.shape[1])
     for damped in [True] * iterations + [False] * 5:
-        p = 1.0 / (1.0 + np.exp(-(design @ beta)))
-        root = np.sqrt(p * (1.0 - p))
-        if not root.min() > 0:
-            return math.nan, np.full(design.shape[1] - 1, math.nan)
-        step = np.linalg.lstsq(design * root[:, None], (t - p) / root, rcond=None)[0]
+        with np.errstate(over="ignore"):
+            p = 1.0 / (1.0 + np.exp(-(design @ beta)))
+        hess = design.T @ (design * (p * (1.0 - p))[:, None])
+        step = np.linalg.lstsq(hess, design.T @ (t - p), rcond=None)[0]
         while damped and loglik(beta + step) < loglik(beta) and np.abs(step).max() > 0:
             step = step / 2
         beta = beta + step

@@ -280,6 +280,21 @@ class TestPropensityFit:
         with pytest.raises(SeparationError):
             fit_propensity(data, "T", ["Z"])
 
+    def test_high_leverage_row_on_overlapping_data_converges(self):
+        """Both treatments at Z = 0 and at Z = 1, and one treated row at Z = 1000:
+        the classes overlap in two values, so the MLE exists. It fits the outlier
+        at p = 1 and each overlap value at its treated share. A rule that refused
+        any fitted p(1 - p) below 10 eps called these data separated."""
+        z = np.array([0.0] * 10 + [1.0] * 10 + [1000.0])
+        t = np.array([0.0] * 5 + [1.0] * 5 + [0.0] * 4 + [1.0] * 6 + [1.0])
+        data = Dataset.from_columns({"Z": z, "T": t, "Y": t + 0.01 * z})
+        model = fit_propensity(data, "T", ["Z"])
+        assert model.converged
+        assert np.abs(model.predict([[0.0], [1.0]]) / [0.5, 0.6] - 1).max() <= 1e-12
+        assert model.predict([[1000.0]])[0] == 1.0
+        est = ate_ipw(data, "Y", "T", ["Z"], model)
+        assert est.diagnostics["clipped"] == 1 and math.isfinite(est.ate)
+
     def test_binary_covariate_converges_to_the_group_rates(self):
         """The MLE on one binary covariate predicts each group's treated share.
         A damping rule with an absolute 1e-12 in place of a relative one halved

@@ -91,6 +91,7 @@ from causelab.scm import (
 from conftest import random_dag
 from oracles import (
     logistic_mle_by_newton,
+    separated_by_linear_program,
     ancestors_by_parent_bfs,
     csv_text_by_rows,
     dataset_from_csv_by_cells,
@@ -1174,21 +1175,22 @@ def test_partial_correlation_matches_least_squares(query):
 
 @settings(max_examples=60, deadline=None)
 @given(st.integers(0, 2**32 - 1), st.integers(20, 300), st.integers(1, 3),
-       st.floats(-2.0, 2.0), st.floats(0.0, 3.0))
-def test_propensity_fit_matches_newton_by_lstsq(seed, n, k, intercept, strength):
-    """Where the MLE exists and its fitted p(1 - p) stays above 1e-8,
-    fit_propensity's coefficients agree with Newton steps solved by
-    np.linalg.lstsq within 1e-9 relative. The first k + 1 rows recur with the
-    other treatment, so no b != 0 has x b >= 0 on the treated and <= 0 on the
-    controls: the MLE exists."""
+       st.floats(-2.0, 2.0), st.floats(0.0, 3.0), st.sampled_from([0, 10, 100, 1000]))
+def test_propensity_fit_matches_newton_by_lstsq(seed, n, k, intercept, strength, far):
+    """Where the MLE exists, fit_propensity's coefficients agree with Newton
+    steps solved by np.linalg.lstsq within 1e-9 relative. The first k + 1 rows
+    recur with the other treatment, so no b != 0 has x b >= 0 on the treated and
+    <= 0 on the controls: the MLE exists. far > 0 adds a row that many standard
+    deviations out, with either treatment, which the MLE may fit at p = 0 or 1."""
     rng = np.random.default_rng(seed)
     z = rng.normal(size=(n, k)) * 10.0 ** rng.integers(-3, 4, k) + rng.normal(size=k) * 100
     logits = intercept + strength * ((z - z.mean(axis=0)) / z.std(axis=0)) @ rng.normal(size=k)
     t = (rng.random(n) < 1.0 / (1.0 + np.exp(-logits))).astype(float)
     z, t = np.vstack([z, z[: k + 1]]), np.concatenate([t, 1.0 - t[: k + 1]])
+    if far:
+        outlier = z.mean(axis=0) + far * z.std(axis=0) * rng.choice([-1.0, 1.0], k)
+        z, t = np.vstack([z, outlier]), np.append(t, float(rng.integers(0, 2)))
     b0, coef = logistic_mle_by_newton(z, t)
-    p = 1.0 / (1.0 + np.exp(-(b0 + ((z - z.mean(axis=0)) / z.std(axis=0)) @ coef)))
-    assume((p * (1.0 - p)).min() > 1e-8)  # false when NaN
     model = fit_propensity(Dataset.from_columns({**{f"Z{j}": z[:, j] for j in range(k)}, "T": t}),
                            "T", [f"Z{j}" for j in range(k)])
     ours, dual = np.array([model.intercept, *model.coef]), np.array([b0, *coef])
@@ -1198,15 +1200,25 @@ def test_propensity_fit_matches_newton_by_lstsq(seed, n, k, intercept, strength)
 
 @settings(max_examples=300, deadline=None)
 @given(st.lists(st.tuples(st.integers(-3, 3), st.booleans()), min_size=2, max_size=60),
-       st.integers(-4, 3))
-@example([(-1, False)] * 5 + [(0, False), (0, True)] + [(1, True)] * 5, 0)  # one shared value
-def test_propensity_refuses_exactly_separated_data(rows, cut):
-    """With one integer covariate, the logistic MLE exists exactly when the two
-    classes' ranges overlap in more than one value (Albert & Anderson 1984);
-    otherwise fitted propensities reach 0 or 1 and the fit is refused."""
+       st.integers(-4, 3),
+       st.one_of(st.none(), st.tuples(st.integers(1, 6), st.booleans(), st.booleans())))
+@example([(-1, False)] * 5 + [(0, False), (0, True)] + [(1, True)] * 5, 0, None)  # one shared value
+@example([(0, False), (0, True)] * 5 + [(1, False)] * 4 + [(1, True)] * 6, 3, (3, False, True))
+@example([(1, True), (0, False), (0, True), (1, False)], 3, (6, False, True))  # ill-conditioned
+# separated, with gains below the rounding of the log-likelihood as t logit - log(1 + e^logit)
+@example([(v, False) for v in (-3, 2, 0, -2, -3, 1, 3, 3)], -3, None)
+def test_propensity_refuses_exactly_separated_data(rows, cut, far):
+    """With one covariate, the logistic MLE exists exactly when the two classes'
+    ranges overlap in more than one value (Albert & Anderson 1984); otherwise
+    fitted propensities reach 0 or 1 and the fit is refused. The values are
+    integers in -3..3, and far = (e, negative, treated) adds one row at
+    ±10^e, which an existing MLE may fit at p = 0 or 1 and still converge."""
     z = np.array([v for v, _ in rows], dtype=float)
-    assume(len(set(z.tolist())) > 1)
     t = np.array([(v > cut) != flip for v, flip in rows], dtype=float)
+    if far is not None:
+        z = np.append(z, (-1.0 if far[1] else 1.0) * 10.0 ** far[0])
+        t = np.append(t, float(far[2]))
+    assume(len(set(z.tolist())) > 1)
     treated, controls = z[t == 1], z[t == 0]
     separated = (len(treated) == 0 or len(controls) == 0 or treated.max() <= controls.min()
                  or controls.max() <= treated.min())
@@ -1216,6 +1228,30 @@ def test_propensity_refuses_exactly_separated_data(rows, cut):
             fit_propensity(data, "T", ["Z"])
     else:
         assert fit_propensity(data, "T", ["Z"]).converged
+
+
+@settings(max_examples=200, deadline=None)
+@given(st.integers(2, 3).flatmap(lambda k: st.tuples(
+    st.lists(st.tuples(st.tuples(*[st.integers(-3, 3)] * k), st.booleans()),
+             min_size=3, max_size=60),
+    st.tuples(*[st.integers(-2, 2)] * k), st.integers(-2, 2))))
+def test_propensity_refuses_what_a_linear_program_calls_separated(drawn):
+    """On two or three integer covariates, with labels from a hyperplane's side
+    and some flipped, fit_propensity raises SeparationError exactly when a
+    linear program finds a direction that separates the classes, and converges
+    otherwise."""
+    rows, plane, offset = drawn
+    z = np.array([v for v, _ in rows], dtype=float)
+    t = np.array([(np.dot(v, plane) + offset > 0) != flip for v, flip in rows], dtype=float)
+    design = np.column_stack([np.ones(len(t)), z])
+    assume(np.linalg.matrix_rank(design) == design.shape[1])
+    data = Dataset.from_columns({**{f"Z{j}": z[:, j] for j in range(z.shape[1])}, "T": t})
+    names = [f"Z{j}" for j in range(z.shape[1])]
+    if separated_by_linear_program(z, t):
+        with pytest.raises(SeparationError):
+            fit_propensity(data, "T", names)
+    else:
+        assert fit_propensity(data, "T", names).converged
 
 
 def _on_grid(rng, n):
